@@ -5,19 +5,20 @@ only a ``None``-check per dataflow task (the ``fault_hook`` test), an
 unwrapped rate function, and zero scheduled processes.  This benchmark
 wall-clocks three workloads — simulated wordcount, the checkpointed
 stream, and the micro-batch engine — bare vs with an empty
-``FaultPlan.scripted([])`` attached, and asserts the attached runs stay
-within a generous noise budget of the bare runs.
+``FaultPlan.scripted([])`` attached (legs interleaved, best of five
+each), and asserts the attached runs stay within a generous noise budget
+of the bare runs.
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_chaos_overhead.py``
 """
 
 import sys
-import time
 from operator import add
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import fresh_cluster
 
+from repro.bench.perfsuite import interleaved_ab
 from repro.chaos import (
     ClusterChaos,
     EngineChaos,
@@ -33,15 +34,6 @@ EMPTY = FaultPlan.scripted([])
 #: wall-clock ratio (chaos-attached / bare) each workload must stay under;
 #: generous because the absolute times are milliseconds and noisy
 MAX_RATIO = 1.25
-
-
-def _time(fn, repeat: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _wordcount(with_chaos: bool, n_words: int):
@@ -87,8 +79,11 @@ def run_chaos_overhead(scale: float = 1.0) -> dict:
     for name, make in (("wordcount", lambda c: _wordcount(c, n_words)),
                        ("stream", lambda c: _stream(c, n_events)),
                        ("microbatch", lambda c: _microbatch(c, duration))):
-        bare = _time(make(False))
-        attached = _time(make(True))
+        runs = {"bare": make(False), "attached": make(True)}
+        times = interleaved_ab(tuple(runs),
+                               lambda leg: (runs[leg], lambda _out: None),
+                               reps=5)
+        bare, attached = min(times["bare"]), min(times["attached"])
         ratio = attached / bare if bare > 0 else 1.0
         results[name] = {"bare_s": bare, "attached_s": attached,
                          "ratio": ratio}

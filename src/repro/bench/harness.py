@@ -18,19 +18,18 @@ def bench_metadata() -> Dict[str, Any]:
 
     Records everything needed to interpret a ``BENCH_wallclock.json``
     after the fact: interpreter and numpy versions plus which execution
-    optimizations (vectorized shuffle writes, narrow-chain fusion,
-    columnar SQL) were enabled when the suite ran.
+    optimizations (narrow-chain fusion, columnar SQL) were enabled when
+    the suite ran.
     """
     import platform
     import numpy
-    from ..dataflow import fusion_enabled, shuffleio
+    from ..dataflow import fusion_enabled
     from ..sql import columnar_enabled
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "fusion_enabled": fusion_enabled(),
         "columnar_enabled": columnar_enabled(),
-        "shuffle_vectorized": shuffleio.vectorized_enabled(),
     }
 
 

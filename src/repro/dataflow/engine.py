@@ -72,10 +72,9 @@ class EngineConfig:
     speculation: bool = False
     speculation_multiplier: float = 1.5  # straggler threshold vs median
     speculation_min_frac: float = 0.5    # completed fraction before speculating
-    check_interval: float = 0.25         # scheduler poll period (s)
-    eager_poll: bool = False             # always arm the poll timer (legacy);
-    # by default idle stages wait purely on the task inbox, so a stage with
-    # everything launched and nothing to speculate creates zero timer events
+    check_interval: float = 0.25         # scheduler poll period (s); idle
+    # stages wait purely on the task inbox, so a stage with everything
+    # launched and nothing to speculate creates zero timer events
     shuffle_to_disk: bool = True         # charge disk for map output writes
     executor_memory: float = float("inf")   # bytes a task may hold in RAM;
     # shuffle input beyond it spills (one disk write + read of the excess)
@@ -646,7 +645,7 @@ class SimEngine:
                 # which cuts simulated-event churn on large jobs.
                 hedge_armed = (hedge is not None
                                and len(durations) >= hedge.min_samples)
-                if cfg.eager_poll or cfg.speculation or pending or hedge_armed:
+                if cfg.speculation or pending or hedge_armed:
                     timer = self.sim.timeout(cfg.check_interval)
                     yield self.sim.any_of([pending_get, timer])
                 else:

@@ -42,7 +42,7 @@ ELEMENT_KINDS = ("map", "filter", "flatmap")
 #: Step kinds applied as iterator wrappers (pipeline joints).
 ITER_KINDS = ("iter", "iter_split")
 
-# Global A/B switch, mirroring shuffleio.set_vectorized: True = fused
+# Global A/B switch, mirroring shuffleio.set_checksums: True = fused
 # execution (default), False = the per-op reference path.  The wall-clock
 # perf suite flips this to measure the speedup; per-context opt-out is
 # ``DataflowContext.fusion_enabled``.

@@ -13,7 +13,7 @@ Design:
 * **Warm workers.**  Workers are spawned once (per backend) and *primed*
   per job: they receive the serialized plan graph (source partitions
   stripped — data rides with each task), the global execution toggles
-  (fusion / vectorized shuffle), the cost model, the accumulator set,
+  (fusion / checksummed spill files), the cost model, the accumulator set,
   and the step shapes of the job's fused chains so every worker compiles
   its segment cache before the first task arrives.  Priming is keyed on
   (context, plan root, toggles, ...) and skipped when nothing changed,
@@ -289,7 +289,6 @@ def _do_prime(state: _WorkerState, blob: bytes, bufs: List[bytes]) -> None:
         state.shuffle_refs.clear()
     toggles = payload["toggles"]
     fusion.set_fusion(toggles["fusion"])
-    shuffleio.set_vectorized(toggles["vectorized"])
     shuffleio.set_checksums(toggles.get("checksums", True))
     fusion.prime_segments(payload["shapes"])
     state.cost = payload["cost_model"]
@@ -585,7 +584,6 @@ class ProcessPoolBackend:
         datasets = _walk_datasets(root)
         key = (ctx.ctx_token, root.dataset_id, ctx._next_id,
                fusion.fusion_enabled(), ctx.fusion_enabled,
-               shuffleio.vectorized_enabled(),
                shuffleio.checksums_enabled(),
                tuple(sorted(d.dataset_id for d in datasets if d.cached)),
                len(accumulators))
@@ -599,7 +597,6 @@ class ProcessPoolBackend:
             "accumulators": list(accumulators),
             "shapes": _plan_segment_shapes(datasets) if fuse else [],
             "toggles": {"fusion": fusion.fusion_enabled(),
-                        "vectorized": shuffleio.vectorized_enabled(),
                         "checksums": shuffleio.checksums_enabled()},
             "cost_model": ctx.cost_model,
             "shuffle_refs": dict(shuffle_refs),

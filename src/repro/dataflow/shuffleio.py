@@ -11,9 +11,9 @@ array instead of one ``partition()`` call per record.  With map-side combining, 
 are first merged into one dict (identical merge semantics, in record
 order) and only the *combined* items — typically far fewer — are
 partitioned and scattered.  Bucket contents and ordering are
-byte-identical to the scalar reference path, which is kept (behind
-:func:`set_vectorized`) for A/B benchmarking and as executable
-documentation of the semantics.
+byte-identical to the per-record reference :func:`_write_buckets_scalar`,
+which no executor calls: it survives only as the tests' correctness
+oracle and as executable documentation of the semantics.
 
 Byte accounting goes through an optional
 :class:`~repro.dataflow.costmodel.SizeEstimator` so one map output
@@ -33,31 +33,14 @@ from ..common.errors import BucketFileError, ChecksumError
 from .costmodel import CostModel, SizeEstimator
 from .plan import ShuffleDependency
 
-__all__ = ["write_buckets", "set_vectorized", "vectorized_enabled",
-           "set_checksums", "checksums_enabled",
+__all__ = ["write_buckets", "set_checksums", "checksums_enabled",
            "write_bucket_file", "read_bucket_file"]
-
-# Global A/B switch: True = vectorized fast path (default), False = the
-# original scalar reference implementation.  The wall-clock perf suite
-# flips this to measure the speedup; semantics are identical either way.
-_VECTORIZED = True
 
 # Checksummed spill files: True (default) stamps a CRC32 per bucket blob
 # into the offset table and verifies it on read, turning silent bit-rot
 # in a spill file into a typed, recoverable ChecksumError.  The perf
 # suite A/Bs this switch for the <5% overhead guard.
 _CHECKSUMS = True
-
-
-def set_vectorized(enabled: bool) -> None:
-    """Select the vectorized (default) or scalar-reference shuffle path."""
-    global _VECTORIZED
-    _VECTORIZED = bool(enabled)
-
-
-def vectorized_enabled() -> bool:
-    """Whether the vectorized shuffle-write path is active."""
-    return _VECTORIZED
 
 
 def set_checksums(enabled: bool) -> None:
@@ -122,8 +105,6 @@ def write_buckets(dep: ShuffleDependency, records: Sequence,
     cost-model estimates of the serialized bucket sizes (memoized per
     shuffle when a ``size_estimator`` is supplied).
     """
-    if not _VECTORIZED:
-        return _write_buckets_scalar(dep, records, cost)
     n_out = dep.partitioner.n_partitions
     if dep.map_side_combine and dep.aggregator is not None:
         items = _combine(dep, records)
@@ -221,7 +202,8 @@ def read_bucket_file(path: str, offsets: Sequence[Tuple],
 def _write_buckets_scalar(dep: ShuffleDependency, records: Sequence,
                           cost: CostModel,
                           ) -> Tuple[List[List], int, List[float]]:
-    """The original per-record reference path (kept for A/B benchmarks)."""
+    """The per-record reference path: the tests' oracle for
+    :func:`write_buckets` (same buckets, same order, same count)."""
     n_out = dep.partitioner.n_partitions
     buckets: List[List] = [[] for _ in range(n_out)]
     if dep.map_side_combine and dep.aggregator is not None:

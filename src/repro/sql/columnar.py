@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-# -- process-wide switch (mirrors shuffleio.set_vectorized) ------------------
+# -- process-wide switch (mirrors fusion.set_fusion) -------------------------
 
 _COLUMNAR = True
 

@@ -14,6 +14,7 @@ from repro.dataflow import (
     SimEngine,
 )
 from repro.simcore import Simulator
+from repro.workloads import zipf_text
 
 
 def make_env(n_racks=2, nodes_per_rack=4, config=None, cost=None, **kw):
@@ -318,3 +319,38 @@ class TestStaleInboxGuard:
         sim.process(killer(sim))
         res = sim.run_until_done(ev)
         assert sorted(res.value) == sorted(ds.collect())
+
+
+class TestInboxStageWaits:
+    """With speculation off and every task in a free slot, stage loops
+    block on the task inbox alone and never arm the poll timer, so the
+    scheduler tick cannot change the event count or the schedule."""
+
+    COST = CostModel(cpu_per_record=1.5e-2, task_overhead=5e-3)
+
+    def _wordcount(self, **config):
+        # 16 map and 16 reduce tasks fit the 2x4 cluster's free slots,
+        # so no task is deferred (a deferred task legitimately arms it)
+        sim = Simulator()
+        cl = make_cluster(sim, 2, 4)
+        ctx = DataflowContext(default_parallelism=16, cost_model=self.COST)
+        eng = SimEngine(cl, config=EngineConfig(**config),
+                        cost_model=self.COST)
+        docs = zipf_text(n_docs=40, words_per_doc=60, vocab_size=300,
+                         skew=1.0, seed=3)
+        ds = (ctx.parallelize(docs, 16).flat_map(str.split)
+              .map(lambda w: (w, 1)).reduce_by_key(operator.add, 16))
+        res = sim.run_until_done(eng.collect(ds))
+        return sim.events_processed, res.metrics.duration, sorted(res.value)
+
+    def test_poll_interval_is_invisible_to_idle_stages(self):
+        fine = self._wordcount(speculation=False, check_interval=0.01)
+        coarse = self._wordcount(speculation=False, check_interval=1.0)
+        assert fine == coarse
+
+    def test_armed_timer_shows_the_interval(self):
+        # control: speculation arms the timer, so a finer tick costs events
+        fine = self._wordcount(speculation=True, check_interval=0.01)
+        coarse = self._wordcount(speculation=True, check_interval=1.0)
+        assert fine[0] > coarse[0]
+        assert fine[2] == coarse[2]

@@ -3,9 +3,9 @@ and byte-identity of the vectorized shuffle write.
 
 The contract under test: ``partition_many(keys)[i] == partition(keys[i])``
 for every key the scalar path accepts, and ``write_buckets`` produces
-*identical* buckets (contents and order) whether the vectorized or the
-scalar reference path runs — so flipping the implementation can never
-change a job's output, only its speed.
+*identical* buckets (contents and order) to the per-record reference
+``_write_buckets_scalar`` — the oracle no executor runs, kept so the
+vectorized writer can never change a job's output, only its speed.
 """
 
 import math
@@ -155,23 +155,20 @@ def _dep(partitioner, aggregator=None, combine=False):
 
 def _both_legs(dep, records):
     cost = CostModel()
-    prev = shuffleio.vectorized_enabled()
-    try:
-        shuffleio.set_vectorized(True)
-        vec = shuffleio.write_buckets(dep, records, cost,
-                                      SizeEstimator(cost))
-        shuffleio.set_vectorized(False)
-        scalar = shuffleio.write_buckets(dep, records, cost)
-    finally:
-        shuffleio.set_vectorized(prev)
+    vec = shuffleio.write_buckets(dep, records, cost, SizeEstimator(cost))
+    scalar = shuffleio._write_buckets_scalar(dep, records, cost)
     return vec, scalar
 
 
 class TestWriteBucketsByteIdentity:
-    def test_hash_shuffle_identical(self):
-        rng = _rng()
-        records = [(rng.randrange(500), i) for i in range(4000)]
-        vec, scalar = _both_legs(_dep(HashPartitioner(8)), records)
+    @pytest.mark.parametrize("combine", [False, True],
+                             ids=["plain", "combine"])
+    @pytest.mark.parametrize("family", sorted(_key_families()))
+    def test_hash_shuffle(self, family, combine):
+        keys = _key_families()[family]
+        records = [(k, i % 7) for i, k in enumerate(keys * 4)]
+        dep = _dep(HashPartitioner(8), _SUM if combine else None, combine)
+        vec, scalar = _both_legs(dep, records)
         assert vec[0] == scalar[0]          # bucket contents AND order
         assert vec[1] == scalar[1]          # records written
 
@@ -200,7 +197,7 @@ class TestWriteBucketsByteIdentity:
 
 class TestEndToEndByteIdentity:
     """The skewed-combiner workload computes the same result on the local
-    executor, the simulated engine, and the scalar reference path."""
+    executor and the simulated engine."""
 
     def _plan(self, ctx):
         docs = zipf_text(n_docs=60, words_per_doc=120, vocab_size=150,
@@ -218,19 +215,6 @@ class TestEndToEndByteIdentity:
         res = sim.run_until_done(eng.collect(self._plan(ctx)))
         return res.value
 
-    def test_local_vs_engine_vs_scalar(self):
-        prev = shuffleio.vectorized_enabled()
-        try:
-            shuffleio.set_vectorized(True)
-            local = self._plan(DataflowContext(default_parallelism=8)) \
-                .collect()
-            engine = self._run_sim()
-            shuffleio.set_vectorized(False)
-            local_scalar = self._plan(
-                DataflowContext(default_parallelism=8)).collect()
-            engine_scalar = self._run_sim()
-        finally:
-            shuffleio.set_vectorized(prev)
-        assert local == local_scalar        # exact order, not just sets
-        assert engine == engine_scalar
-        assert sorted(local) == sorted(engine)
+    def test_local_vs_engine(self):
+        local = self._plan(DataflowContext(default_parallelism=8)).collect()
+        assert sorted(local) == sorted(self._run_sim())
