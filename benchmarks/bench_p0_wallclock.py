@@ -212,8 +212,8 @@ def test_p0(benchmark):
     assert serving["chaos_sweep"]["runs"]
     assert summary["serving_chaos_conserved"] is True
     enforce_guards(payload)
-    meta = payload["meta"]
-    assert meta["fusion_enabled"] and meta["columnar_enabled"]
+    opts = payload["meta"]["exec_options"]
+    assert opts["fusion"] and opts["columnar"]
 
 
 if __name__ == "__main__":

@@ -17,19 +17,18 @@ def bench_metadata() -> Dict[str, Any]:
     """Environment + engine-flag snapshot embedded in bench reports.
 
     Records everything needed to interpret a ``BENCH_wallclock.json``
-    after the fact: interpreter and numpy versions plus which execution
-    optimizations (narrow-chain fusion, columnar SQL) were enabled when
-    the suite ran.
+    after the fact: interpreter and numpy versions plus the default
+    :class:`~repro.dataflow.context.ExecOptions` the suite's contexts ran
+    under.
     """
+    import dataclasses
     import platform
     import numpy
-    from ..dataflow import fusion_enabled
-    from ..sql import columnar_enabled
+    from ..dataflow import ExecOptions
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "fusion_enabled": fusion_enabled(),
-        "columnar_enabled": columnar_enabled(),
+        "exec_options": dataclasses.asdict(ExecOptions()),
     }
 
 

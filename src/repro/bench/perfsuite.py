@@ -45,13 +45,12 @@ from ..dataflow import (
     CostModel,
     DataflowContext,
     EngineConfig,
+    ExecOptions,
     HashPartitioner,
     ProcessPoolBackend,
     RangePartitioner,
     SimEngine,
     SizeEstimator,
-    fusion_enabled,
-    set_fusion,
 )
 from ..dataflow import shuffleio
 from ..dataflow.mp import default_start_method
@@ -109,7 +108,10 @@ __all__ = ["BASKET", "HEADLINE", "POOL_HEADLINE", "POOL_SWEEP",
 #: ``speedup`` and the wordcount baseline event fields
 #: (``wordcount_sim_events_current`` becomes ``wordcount_sim_events``),
 #: and ``meta`` loses ``shuffle_vectorized``.
-SCHEMA_VERSION = 11
+#:
+#: v12 replaces ``meta``'s two engine flags (fusion, columnar) with
+#: ``exec_options``, the default ``ExecOptions`` as a dict.
+SCHEMA_VERSION = 12
 
 #: The fixed workload basket, in reporting order.  The first four are
 #: the simulated-cluster jobs; ``sql_analytics``, ``sql_join`` and
@@ -326,12 +328,14 @@ _WRITE_BUILDERS: Dict[str, Callable] = {
 # end-to-end jobs: wall clock + DES event churn
 # ---------------------------------------------------------------------------
 
-def _fresh(**config) -> Tuple[Simulator, DataflowContext, SimEngine]:
-    """A fresh 2x4 cluster, context and engine; ``config`` overrides
-    :class:`EngineConfig` fields."""
+def _fresh(options: ExecOptions = ExecOptions(),
+           **config) -> Tuple[Simulator, DataflowContext, SimEngine]:
+    """A fresh 2x4 cluster, context (under ``options``) and engine;
+    ``config`` overrides :class:`EngineConfig` fields."""
     sim = Simulator()
     cluster = make_cluster(sim, 2, 4, host_bw=Gbit_per_s(10))
-    ctx = DataflowContext(default_parallelism=16, cost_model=_SIM_COST)
+    ctx = DataflowContext(default_parallelism=16, cost_model=_SIM_COST,
+                          options=options)
     cfg = EngineConfig(check_interval=_CHECK_INTERVAL, **config)
     engine = SimEngine(cluster, config=cfg, cost_model=_SIM_COST)
     return sim, ctx, engine
@@ -448,9 +452,10 @@ def measure_sql_analytics(scale: float = 1.0,
     rows = _sql_rows(scale)
 
     def run(leg: str):
-        ctx = DataflowContext(default_parallelism=8)
+        ctx = DataflowContext(default_parallelism=8, options=ExecOptions(
+            columnar=(leg == "current")))
         q = _sql_query(DataFrame.from_rows(ctx, rows))
-        return (lambda: q.collect(columnar=(leg == "current"))), _reprs
+        return q.collect, _reprs
 
     return _speedup_report(len(rows),
                            interleaved_ab(("baseline", "current"), run, reps))
@@ -494,6 +499,7 @@ def measure_sql_join(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
     the "AQE never changes results" acceptance check, measured at bench
     scale on every run.
     """
+    from ..sql import AdaptiveConfig
     fact, dim = _join_tables(scale)
     reference: List[str] = []
 
@@ -503,16 +509,17 @@ def measure_sql_join(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
         return reference
 
     def run(leg: str):
-        q = _join_query(DataflowContext(default_parallelism=8), fact, dim)
-        return (lambda: q.collect(columnar=(leg == "current"),
-                                  adaptive=False)), digest
+        ctx = DataflowContext(default_parallelism=8, options=ExecOptions(
+            columnar=(leg == "current")))
+        return _join_query(ctx, fact, dim).collect, digest
 
     times = interleaved_ab(("baseline", "current"), run, reps)
     # adaptive leg: same plan, AQE on — the result set must not change
-    ctx = DataflowContext(default_parallelism=8)
+    ctx = DataflowContext(default_parallelism=8, options=ExecOptions(
+        adaptive=AdaptiveConfig()))
     q = _join_query(ctx, fact, dim)
     t0 = time.perf_counter()
-    adaptive_out = q.collect(columnar=True, adaptive=True)
+    adaptive_out = q.collect()
     adaptive_secs = time.perf_counter() - t0
     if sorted(map(repr, adaptive_out)) != sorted(reference):
         raise AssertionError("adaptive execution changed the join result")
@@ -555,15 +562,11 @@ def measure_narrow_chain(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
     import pickle
 
     def run(leg: str):
-        set_fusion(leg == "current")
-        ds = _chain_dataset(DataflowContext(default_parallelism=8), scale)
-        return ds.collect, pickle.dumps
+        ctx = DataflowContext(default_parallelism=8, options=ExecOptions(
+            fusion=(leg == "current")))
+        return _chain_dataset(ctx, scale).collect, pickle.dumps
 
-    prev = fusion_enabled()
-    try:
-        times = interleaved_ab(("baseline", "current"), run, reps)
-    finally:
-        set_fusion(prev)
+    times = interleaved_ab(("baseline", "current"), run, reps)
     return _speedup_report(int(250_000 * scale), times)
 
 
@@ -1157,8 +1160,9 @@ def measure_resilience_overhead(scale: float = 1.0, reps: int = 15,
 def _job_ab(name: str, scale: float, reps: int,
             configs: Dict[str, Dict[str, Any]],
             ) -> Tuple[Dict[str, List[float]], int]:
-    """Interleave one basket job under per-leg ``EngineConfig`` overrides;
-    returns (per-leg seconds, records per job)."""
+    """Interleave one basket job under per-leg :func:`_fresh` arguments
+    (``options`` and ``EngineConfig`` overrides); returns (per-leg
+    seconds, records per job)."""
     n_records = 0
 
     def run(leg: str):
@@ -1180,14 +1184,14 @@ def measure_integrity_overhead(scale: float = 1.0, reps: int = 15,
     Two interleaved A/Bs of checksums on (the default) vs off:
 
     * ``end_to_end`` — the same simulated job with
-      ``EngineConfig.integrity`` toggled: the on leg seals every
+      ``ExecOptions.checksums`` toggled: the on leg seals every
       registered map-output bucket (pickle + chunk CRC32) and verifies
       each bucket on fetch; the off leg skips both.  This is the guarded
       number — the data plane must cost < 5% on a clean run.
     * ``spill`` — the process-pool spill path in isolation:
       :func:`~repro.dataflow.shuffleio.write_bucket_file` +
       :func:`~repro.dataflow.shuffleio.read_bucket_file` over a
-      realistic bucket set with ``set_checksums`` toggled
+      realistic bucket set with and without CRCs
       (informational; the CRC rides the same buffer the pickler just
       produced, so it is a small fraction of serialization cost).
 
@@ -1206,7 +1210,8 @@ def _measure_integrity_overhead_once(scale: float, reps: int,
 
     times, n_records = _job_ab(
         name, scale, reps,
-        {"off": {"integrity": False}, "on": {"integrity": True}})
+        {"off": {"options": ExecOptions(checksums=False)},
+         "on": {"options": ExecOptions()}})
 
     # spill leg: CRC-stamped bucket files written + fully read back
     rng = random.Random(23)
@@ -1214,22 +1219,17 @@ def _measure_integrity_overhead_once(scale: float, reps: int,
                 for _ in range(int(2_000 * max(scale, 0.1)))]
                for _ in range(16)]
 
-    def write_and_read() -> List:
-        offsets = shuffleio.write_bucket_file(path, buckets)
-        return [shuffleio.read_bucket_file(path, offsets, r)
-                for r in range(len(buckets))]
-
     def spill(leg: str):
-        shuffleio.set_checksums(leg == "on")
+        def write_and_read() -> List:
+            offsets = shuffleio.write_bucket_file(path, buckets,
+                                                  checksums=leg == "on")
+            return [shuffleio.read_bucket_file(path, offsets, r)
+                    for r in range(len(buckets))]
         return write_and_read, _same
 
-    prev = shuffleio.checksums_enabled()
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "spill.buckets")
-            spill_times = interleaved_ab(("off", "on"), spill, reps)
-    finally:
-        shuffleio.set_checksums(prev)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spill.buckets")
+        spill_times = interleaved_ab(("off", "on"), spill, reps)
 
     return {
         "workload": name,

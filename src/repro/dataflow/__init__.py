@@ -1,6 +1,6 @@
 """The dataflow engine: lazy plans, local execution, simulated clusters."""
 
-from .context import DataflowContext
+from .context import DataflowContext, ExecOptions
 from .costmodel import CostModel, SizeEstimator
 from .engine import EngineConfig, JobMetrics, JobResult, SimEngine
 from .local import LocalExecutor, ShuffleMetrics
@@ -12,11 +12,9 @@ from .partitioner import (
     stable_hash_many,
 )
 from .fusion import (
-    fusion_enabled,
     prime_segments,
     reset_segment_cache,
     segment_cache_shapes,
-    set_fusion,
 )
 from .local import ExecutorBase
 from .mp import PooledExecutor, ProcessPoolBackend, audit_plan
@@ -31,7 +29,7 @@ from .stages import (
 )
 
 __all__ = [
-    "DataflowContext", "Dataset", "SourceDataset", "Aggregator",
+    "DataflowContext", "ExecOptions", "Dataset", "SourceDataset", "Aggregator",
     "ShuffleDependency", "CostModel", "SizeEstimator",
     "LocalExecutor", "ExecutorBase", "ShuffleMetrics",
     "PooledExecutor", "ProcessPoolBackend", "audit_plan",
@@ -39,7 +37,7 @@ __all__ = [
     "Partitioner", "HashPartitioner", "RangePartitioner",
     "stable_hash", "stable_hash_many",
     "Stage", "build_stages", "topo_order", "narrow_op_depth",
-    "fusion_groups", "set_fusion", "fusion_enabled",
+    "fusion_groups",
     "reset_segment_cache", "prime_segments", "segment_cache_shapes",
     "Broadcast", "Accumulator",
 ]

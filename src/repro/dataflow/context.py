@@ -6,22 +6,50 @@ Actions run on the in-process :class:`~repro.dataflow.local.LocalExecutor`
 by default; setting :attr:`DataflowContext.backend` to ``"pool"`` (or
 exporting ``REPRO_BACKEND=pool``) routes them through the warm
 multi-process :class:`~repro.dataflow.mp.ProcessPoolBackend` instead.
+
+Execution choices that never change results — fusion, columnar SQL,
+shuffle checksums, adaptive query execution — live in one frozen
+:class:`ExecOptions` per context (``ctx.options``); change them by
+assigning a new value (``dataclasses.replace``).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from ..common.errors import PlanError
 from .costmodel import CostModel
 from .plan import Dataset, SourceDataset
 from .shared import Accumulator, Broadcast
 
-__all__ = ["DataflowContext"]
+if TYPE_CHECKING:
+    from ..sql.adaptive import AdaptiveConfig
+
+__all__ = ["DataflowContext", "ExecOptions"]
 
 #: Execution backends a context can route its actions through.
 BACKENDS = ("inprocess", "pool")
+
+
+@dataclass(frozen=True)
+class ExecOptions:
+    """How a context executes; every combination gives the same results.
+
+    ``fusion``: compile narrow chains into one generator
+    (:mod:`~repro.dataflow.fusion`).  ``columnar``: lower DataFrame
+    queries through the vectorized engine (:mod:`repro.sql.columnar`).
+    ``checksums``: seal shuffle map outputs and CRC spill files.
+    ``adaptive``: re-plan DataFrame queries with measured statistics
+    under this :class:`~repro.sql.adaptive.AdaptiveConfig`; ``None`` is
+    AQE off.  Hashable, so the pool keys worker priming on it.
+    """
+
+    fusion: bool = True
+    columnar: bool = True
+    checksums: bool = True
+    adaptive: Optional["AdaptiveConfig"] = None
 
 
 class DataflowContext:
@@ -40,7 +68,8 @@ class DataflowContext:
     def __init__(self, default_parallelism: int = 4,
                  cost_model: Optional[CostModel] = None,
                  backend: Optional[str] = None,
-                 pool_workers: Optional[int] = None) -> None:
+                 pool_workers: Optional[int] = None,
+                 options: ExecOptions = ExecOptions()) -> None:
         if default_parallelism < 1:
             raise PlanError("default_parallelism must be >= 1")
         self.default_parallelism = default_parallelism
@@ -48,9 +77,7 @@ class DataflowContext:
         self._datasets: Dict[int, Dataset] = {}
         self._next_id = 0
         self._next_shuffle_id = 0
-        #: narrow-chain fusion opt-out for this context (debugging aid);
-        #: the process-wide switch is ``repro.dataflow.fusion.set_fusion``
-        self.fusion_enabled = True
+        self.options = options
         #: dataset_id -> number of child datasets consuming it; fusion
         #: treats any count > 1 as a pipeline barrier
         self._child_counts: Dict[int, int] = {}

@@ -37,7 +37,6 @@ from ..resilience import Deadline, ResiliencePolicies, RetrySession
 from ..simcore.events import Event
 from ..simcore.kernel import Simulator
 from ..simcore.resources import Store
-from . import fusion
 from ..storage import integrity
 from .costmodel import CostModel, SizeEstimator
 from .plan import Dataset, ShuffleDependency, TaskRuntime
@@ -86,12 +85,6 @@ class EngineConfig:
     # shuffle input, no cached datasets, no accumulators) are precomputed
     # on the process pool before simulated task placement; the simulated
     # schedule, costs, and results are unchanged — only wall-clock drops
-    integrity: bool = True
-    # seal registered map-output buckets with chunk checksums and verify
-    # them at reduce fetch; a corrupt bucket drops the map output and
-    # rides the existing MissingShuffleError lineage recovery, so silent
-    # corruption becomes one deterministic map re-execution instead of
-    # wrong results
 
 
 @dataclass
@@ -436,7 +429,7 @@ class SimEngine:
                              name=f"deadline:ds{ds.dataset_id}")
         result_stage = build_stages(ds)
         stages = topo_order(result_stage)
-        if getattr(ds.ctx, "fusion_enabled", True) and fusion.fusion_enabled():
+        if ds.ctx.options.fusion:
             metrics.fused_segments = sum(
                 1 for s in stages for g in fusion_groups(s.dataset)
                 if len(g) > 1)
@@ -608,8 +601,7 @@ class SimEngine:
                 "is_result": stage.is_result,
                 "recovery": splits is not None,
             }
-            if getattr(stage.dataset.ctx, "fusion_enabled", True) \
-                    and fusion.fusion_enabled():
+            if stage.dataset.ctx.options.fusion:
                 sizes = [len(g) for g in fusion_groups(stage.dataset)
                          if len(g) > 1]
                 if sizes:
@@ -1050,8 +1042,10 @@ class SimEngine:
                 if total > 0:
                     yield node.disk_write(total)
             if attempt.alive:
+                # sealed buckets are verified at reduce fetch; a corrupt
+                # one drops the map output and rides lineage recovery
                 seals = (tuple(integrity.seal_object(b) for b in buckets)
-                         if self.config.integrity else None)
+                         if stage.dataset.ctx.options.checksums else None)
                 self._register_map_output(
                     dep.shuffle_id, split,
                     _MapOutput(attempt.node, buckets, bucket_bytes, seals))

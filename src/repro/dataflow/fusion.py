@@ -23,7 +23,8 @@ harness's recovery-equivalence oracles run with fusion enabled).  The
 chain-walk itself, including the barrier rules (cached datasets,
 multi-consumer datasets, non-fusible ops like ``sample``), lives in
 :meth:`~repro.dataflow.plan.MappedDataset._fused_chain`; this module
-owns the global enable switch and the code generation.
+owns the code generation.  ``ExecOptions(fusion=False)`` on a context
+selects the per-op reference path instead.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple,
 )
 
-__all__ = ["set_fusion", "fusion_enabled", "run_chain", "compile_segment",
+__all__ = ["run_chain", "compile_segment",
            "reset_segment_cache", "prime_segments", "segment_cache_shapes",
            "segment_shapes", "ELEMENT_KINDS", "ITER_KINDS"]
 
@@ -41,24 +42,6 @@ ELEMENT_KINDS = ("map", "filter", "flatmap")
 
 #: Step kinds applied as iterator wrappers (pipeline joints).
 ITER_KINDS = ("iter", "iter_split")
-
-# Global A/B switch, mirroring shuffleio.set_checksums: True = fused
-# execution (default), False = the per-op reference path.  The wall-clock
-# perf suite flips this to measure the speedup; per-context opt-out is
-# ``DataflowContext.fusion_enabled``.
-_FUSION = True
-
-
-def set_fusion(enabled: bool) -> None:
-    """Enable (default) or disable narrow-chain fusion process-wide."""
-    global _FUSION
-    _FUSION = bool(enabled)
-
-
-def fusion_enabled() -> bool:
-    """Whether fused execution is globally active."""
-    return _FUSION
-
 
 # -- whole-segment code generation -------------------------------------------
 

@@ -12,11 +12,12 @@ Design:
 
 * **Warm workers.**  Workers are spawned once (per backend) and *primed*
   per job: they receive the serialized plan graph (source partitions
-  stripped — data rides with each task), the global execution toggles
-  (fusion / checksummed spill files), the cost model, the accumulator set,
-  and the step shapes of the job's fused chains so every worker compiles
-  its segment cache before the first task arrives.  Priming is keyed on
-  (context, plan root, toggles, ...) and skipped when nothing changed,
+  stripped — data rides with each task, and the context's
+  :class:`~repro.dataflow.context.ExecOptions` ride on its stub), the
+  cost model, the accumulator set, and the step shapes of the job's
+  fused chains so every worker compiles its segment cache before the
+  first task arrives.  Priming is keyed on (context, plan root,
+  options, ...) and skipped when nothing changed,
   so repeated actions on a warm pool pay zero setup.
 * **Closure shipping.**  Plans are lambdas all the way down; the
   :mod:`~repro.dataflow.closure` pickler ships them by value (stdlib
@@ -74,6 +75,7 @@ from ..common.errors import (
 from ..obs.metrics import get_registry
 from ..resilience.policy import RetryPolicy
 from . import closure, fusion, shuffleio
+from .context import ExecOptions
 from .costmodel import SizeEstimator
 from .local import ExecutorBase, ShuffleMetrics
 from .plan import (
@@ -174,15 +176,15 @@ def audit_plan(root: Dataset) -> None:
 class _WorkerContext:
     """Driver-context stand-in inside pool workers.
 
-    Carries exactly the attributes plan ``compute`` paths consult —
-    fusion opt-out and the child counts that drive fusion barriers; the
+    Carries exactly the attributes plan ``compute`` paths consult — the
+    execution options and the child counts that drive fusion barriers; the
     executors' bookkeeping lists stay empty (workers never run actions).
     """
 
-    def __init__(self, default_parallelism: int, fusion_enabled: bool,
+    def __init__(self, default_parallelism: int, options: ExecOptions,
                  child_counts: Dict[int, int], token: int) -> None:
         self.default_parallelism = default_parallelism
-        self.fusion_enabled = fusion_enabled
+        self.options = options
         self._child_counts = child_counts
         self.ctx_token = token
         self.broadcasts: List = []
@@ -213,10 +215,8 @@ def _rebuild_dataset(cls, state):
     return obj
 
 
-def _rebuild_worker_ctx(default_parallelism, fusion_enabled, child_counts,
-                        token):
-    return _WorkerContext(default_parallelism, fusion_enabled, child_counts,
-                          token)
+def _rebuild_worker_ctx(default_parallelism, options, child_counts, token):
+    return _WorkerContext(default_parallelism, options, child_counts, token)
 
 
 def _plan_overrides() -> Dict[type, Any]:
@@ -230,7 +230,7 @@ def _plan_overrides() -> Dict[type, Any]:
 
     def stub_ctx(ctx):
         return (_rebuild_worker_ctx,
-                (ctx.default_parallelism, ctx.fusion_enabled,
+                (ctx.default_parallelism, ctx.options,
                  dict(ctx._child_counts), ctx.ctx_token))
 
     return {SourceDataset: strip_source, DataflowContext: stub_ctx}
@@ -287,9 +287,6 @@ def _do_prime(state: _WorkerState, blob: bytes, bufs: List[bytes]) -> None:
         state.shuffle_deps.clear()
         state.cache.clear()
         state.shuffle_refs.clear()
-    toggles = payload["toggles"]
-    fusion.set_fusion(toggles["fusion"])
-    shuffleio.set_checksums(toggles.get("checksums", True))
     fusion.prime_segments(payload["shapes"])
     state.cost = payload["cost_model"]
     state.size_est = SizeEstimator(state.cost)
@@ -333,7 +330,8 @@ def _run_task(state: _WorkerState, out_path: Optional[str], blob: bytes,
             records = list(dep.parent.iterate(spec["split"], state.runtime))
             buckets, written, bucket_bytes = shuffleio.write_buckets(
                 dep, records, state.cost, size_estimator=state.size_est)
-            offsets = shuffleio.write_bucket_file(out_path, buckets)
+            offsets = shuffleio.write_bucket_file(
+                out_path, buckets, dep.parent.ctx.options.checksums)
             result = {"path": out_path, "offsets": offsets,
                       "records_in": len(records), "written": written,
                       "bucket_bytes": bucket_bytes}
@@ -580,24 +578,20 @@ class ProcessPoolBackend:
 
     def prime(self, ctx, root: Dataset, accumulators: Sequence,
               shuffle_refs: Dict[int, List]) -> None:
-        """Ship the plan graph + toggles to every worker (idempotent)."""
+        """Ship the plan graph + options to every worker (idempotent)."""
         datasets = _walk_datasets(root)
-        key = (ctx.ctx_token, root.dataset_id, ctx._next_id,
-               fusion.fusion_enabled(), ctx.fusion_enabled,
-               shuffleio.checksums_enabled(),
+        key = (ctx.ctx_token, root.dataset_id, ctx._next_id, ctx.options,
                tuple(sorted(d.dataset_id for d in datasets if d.cached)),
                len(accumulators))
         if key == self._prime_key:
             self.ensure_started()
             return
-        fuse = fusion.fusion_enabled() and ctx.fusion_enabled
         payload = {
             "ctx_token": ctx.ctx_token,
             "root": root,
             "accumulators": list(accumulators),
-            "shapes": _plan_segment_shapes(datasets) if fuse else [],
-            "toggles": {"fusion": fusion.fusion_enabled(),
-                        "checksums": shuffleio.checksums_enabled()},
+            "shapes": (_plan_segment_shapes(datasets)
+                       if ctx.options.fusion else []),
             "cost_model": ctx.cost_model,
             "shuffle_refs": dict(shuffle_refs),
         }

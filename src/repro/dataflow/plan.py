@@ -609,7 +609,7 @@ class MappedDataset(Dataset):
             node = p
 
     def compute(self, split: int, runtime: TaskRuntime) -> Iterator:
-        if not (self.ctx.fusion_enabled and fusion.fusion_enabled()):
+        if not self.ctx.options.fusion:
             parent_iter = self.parent.iterate(split, runtime)
             if self.with_split:
                 return iter(self.fn(split, parent_iter))

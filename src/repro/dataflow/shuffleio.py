@@ -33,25 +33,7 @@ from ..common.errors import BucketFileError, ChecksumError
 from .costmodel import CostModel, SizeEstimator
 from .plan import ShuffleDependency
 
-__all__ = ["write_buckets", "set_checksums", "checksums_enabled",
-           "write_bucket_file", "read_bucket_file"]
-
-# Checksummed spill files: True (default) stamps a CRC32 per bucket blob
-# into the offset table and verifies it on read, turning silent bit-rot
-# in a spill file into a typed, recoverable ChecksumError.  The perf
-# suite A/Bs this switch for the <5% overhead guard.
-_CHECKSUMS = True
-
-
-def set_checksums(enabled: bool) -> None:
-    """Enable/disable bucket-file checksumming (default on)."""
-    global _CHECKSUMS
-    _CHECKSUMS = bool(enabled)
-
-
-def checksums_enabled() -> bool:
-    """Whether bucket-file payloads are checksummed."""
-    return _CHECKSUMS
+__all__ = ["write_buckets", "write_bucket_file", "read_bucket_file"]
 
 
 def _scatter(items: Sequence, part_ids: np.ndarray,
@@ -132,23 +114,25 @@ def write_buckets(dep: ShuffleDependency, records: Sequence,
 # because its worker crashed.
 
 
-def write_bucket_file(path: str, buckets: List[List]) -> List[Tuple]:
+def write_bucket_file(path: str, buckets: List[List],
+                      checksums: bool) -> List[Tuple]:
     """Write ``buckets`` back-to-back to ``path``.
 
     Returns one ``(offset, length)`` pair — ``(offset, length, crc32)``
-    when checksumming is on (the default) — per bucket so a reader can
-    fetch a single reduce partition without scanning the file.  Buckets
+    when ``checksums`` is set (the context's ``ExecOptions.checksums``) —
+    per bucket so a reader can fetch a single reduce partition without
+    scanning the file.  A CRC turns silent bit-rot in a spill file into a
+    typed, recoverable ChecksumError at read time.  Buckets
     are serialized with the closure-aware plan pickler, so records that
     happen to contain lambdas still round-trip.
     """
     from . import closure
 
-    with_sums = _CHECKSUMS
     offsets: List[Tuple] = []
     with open(path, "wb") as f:
         for bucket in buckets:
             blob, _ = closure.dumps(bucket, with_buffers=False)
-            if with_sums:
+            if checksums:
                 offsets.append((f.tell(), len(blob), zlib.crc32(blob)))
             else:
                 offsets.append((f.tell(), len(blob)))

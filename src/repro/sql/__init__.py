@@ -5,10 +5,8 @@ from .adaptive import (
     AdaptiveReport,
     BroadcastJoin,
     TopK,
-    adaptive_enabled,
-    set_adaptive,
 )
-from .columnar import ColumnBatch, columnar_enabled, set_columnar
+from .columnar import ColumnBatch
 from .expr import Column, Expr, Literal, col, lit
 from .frame import DataFrame, GroupedFrame, avg_, count_, max_, min_, sum_
 from .logical import (
@@ -31,7 +29,6 @@ __all__ = [
     "LogicalPlan", "Scan", "Project", "Filter", "GroupAgg", "Join",
     "OrderBy", "Limit", "Distinct", "AggSpec",
     "optimize", "push_filters", "prune_columns", "merge_projects",
-    "ColumnBatch", "set_columnar", "columnar_enabled",
+    "ColumnBatch",
     "AdaptiveConfig", "AdaptiveReport", "BroadcastJoin", "TopK",
-    "set_adaptive", "adaptive_enabled",
 ]

@@ -31,10 +31,9 @@ identical output order for any order-defining query (``order_by`` ties
 break on row content — see ``frame._sort_token`` — precisely so that
 physical re-planning upstream cannot leak into sorted output).
 
-Process-wide toggle mirrors ``columnar.set_columnar``::
+AQE is off by default; a context opts in through its execution options::
 
-    set_adaptive(True)                      # opt in (default off)
-    df.collect(adaptive=True)               # or per query
+    ctx = DataflowContext(options=ExecOptions(adaptive=AdaptiveConfig()))
 
 Every applied decision is recorded in an :class:`AdaptiveReport`
 (``DataFrame.last_adaptive_report`` after compilation) and counted on
@@ -44,6 +43,7 @@ the obs metrics registry when one is installed (``aqe.broadcast_joins``,
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..dataflow.partitioner import HashPartitioner, Partitioner
@@ -61,14 +61,14 @@ from .logical import (
 
 __all__ = [
     "AdaptiveConfig", "AdaptiveReport", "BroadcastJoin", "TopK",
-    "SkewPartitioner", "adapt", "estimate_rows", "set_adaptive",
-    "adaptive_enabled", "get_adaptive_config",
+    "SkewPartitioner", "adapt", "estimate_rows",
 ]
 
 
-# -- configuration / process-wide switch -------------------------------------
+# -- configuration -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class AdaptiveConfig:
     """Thresholds for the three adaptive decisions.
 
@@ -76,56 +76,16 @@ class AdaptiveConfig:
     statically bounded) row count is <= this.  ``skew_factor``: isolate a
     join key when its expected reducer share exceeds ``skew_factor / n``
     of the rows (``skew_factor``x the balanced per-reducer load).
-    ``join_strategy``: "auto" picks the sort-merge probe for sorted
-    single-column numeric keys and the hash probe otherwise; "hash" /
-    "sort_merge" force one kernel (the columnar engine falls back to
-    hash where sort-merge cannot apply).
     """
 
-    def __init__(self,
-                 broadcast_rows: int = 1000,
-                 topk: bool = True,
-                 skew_detect: bool = True,
-                 skew_factor: float = 3.0,
-                 skew_sample: int = 2048,
-                 skew_min_rows: int = 256,
-                 max_hot_keys: int = 8,
-                 measure: bool = True,
-                 join_strategy: str = "auto") -> None:
-        if join_strategy not in ("auto", "hash", "sort_merge"):
-            raise ValueError("join_strategy must be auto|hash|sort_merge")
-        self.broadcast_rows = broadcast_rows
-        self.topk = topk
-        self.skew_detect = skew_detect
-        self.skew_factor = skew_factor
-        self.skew_sample = skew_sample
-        self.skew_min_rows = skew_min_rows
-        self.max_hot_keys = max_hot_keys
-        self.measure = measure
-        self.join_strategy = join_strategy
-
-
-_ADAPTIVE = False
-_CONFIG = AdaptiveConfig()
-
-
-def set_adaptive(enabled: bool,
-                 config: Optional[AdaptiveConfig] = None) -> None:
-    """Globally enable/disable AQE (A/B toggle; default off)."""
-    global _ADAPTIVE, _CONFIG
-    _ADAPTIVE = bool(enabled)
-    if config is not None:
-        _CONFIG = config
-
-
-def adaptive_enabled() -> bool:
-    """Whether DataFrames adapt plans at compile time by default."""
-    return _ADAPTIVE
-
-
-def get_adaptive_config() -> AdaptiveConfig:
-    """The process-wide adaptive configuration."""
-    return _CONFIG
+    broadcast_rows: int = 1000
+    topk: bool = True
+    skew_detect: bool = True
+    skew_factor: float = 3.0
+    skew_sample: int = 2048
+    skew_min_rows: int = 256
+    max_hot_keys: int = 8
+    measure: bool = True
 
 
 # -- physical-choice plan nodes ----------------------------------------------
@@ -352,7 +312,7 @@ def _decide_skew(plan: Join, ctx, n_partitions: int,
 
 
 def adapt(plan: LogicalPlan, ctx, n_partitions: int,
-          config: Optional[AdaptiveConfig] = None,
+          config: AdaptiveConfig,
           report: Optional[AdaptiveReport] = None,
           ) -> Tuple[LogicalPlan, AdaptiveReport]:
     """Rewrite ``plan`` with measured-statistics physical decisions.
@@ -361,7 +321,6 @@ def adapt(plan: LogicalPlan, ctx, n_partitions: int,
     place, Limit/OrderBy pairs are replaced by new TopK nodes).  Returns
     the adapted plan and the decision report.
     """
-    config = config or _CONFIG
     if report is None:
         report = AdaptiveReport()
     plan.children = [adapt(c, ctx, n_partitions, config, report)[0]

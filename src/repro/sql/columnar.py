@@ -22,14 +22,16 @@ Equivalence contract (the columnar/row property tests assert it):
 * any ``Expr.apply`` (UDF) node falls back to per-element Python *inside*
   the enclosing vectorized expression, and operators the columnar engine
   does not cover (order_by / top-k / limit / distinct) fall back to the
-  row interpreter per-operator, converting batches to rows at the seam.
+  row interpreter per-operator, converting batches to rows at the seam
+  (each such operator counts ``sql.columnar_row_fallbacks`` on the obs
+  metrics registry when one is installed).
 
 Known divergences from the row interpreter (documented, not silent):
 int64 arithmetic can overflow where Python ints cannot; division by zero
 follows numpy (inf/nan) rather than raising; NaN group keys and ``-0.0``
-sums keep numpy semantics.  Disable with :func:`set_columnar` (process
-wide) or ``DataFrame.collect(columnar=False)`` (per query) when exact
-interpreted behaviour is needed on such inputs.
+sums keep numpy semantics.  Run the query on a context with
+``ExecOptions(columnar=False)`` when exact interpreted behaviour is
+needed on such inputs.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ import numpy as np
 
 from ..common.errors import PlanError
 from ..dataflow.partitioner import DirectPartitioner
-from .adaptive import BroadcastJoin, get_adaptive_config, join_partitioner
+from ..obs.metrics import get_registry
+from .adaptive import BroadcastJoin, join_partitioner
 from .expr import Column, Expr, Literal, _Aliased, _BinOp, _UnaryOp
 from .logical import (
     AggSpec,
@@ -55,24 +58,8 @@ from .logical import (
 
 __all__ = [
     "ColumnBatch", "make_array", "eval_expr",
-    "compile_columnar", "set_columnar", "columnar_enabled",
+    "compile_columnar",
 ]
-
-
-# -- process-wide switch (mirrors fusion.set_fusion) -------------------------
-
-_COLUMNAR = True
-
-
-def set_columnar(enabled: bool) -> None:
-    """Globally enable/disable columnar lowering (A/B toggle for benches)."""
-    global _COLUMNAR
-    _COLUMNAR = bool(enabled)
-
-
-def columnar_enabled() -> bool:
-    """Whether DataFrames compile through the columnar engine by default."""
-    return _COLUMNAR
 
 
 # -- column batches ----------------------------------------------------------
@@ -417,19 +404,17 @@ def _group_indices(codes: np.ndarray, n_groups: int) -> List[np.ndarray]:
 
 
 def _probe_codes(right_cat: ColumnBatch, on: Tuple[str, ...],
-                 uniq_keys: List[tuple], strategy: str) -> np.ndarray:
+                 uniq_keys: List[tuple]) -> np.ndarray:
     """Left group code per right row (-1 = no matching left key).
 
     The sort-merge kernel handles single-column integer/bool keys with a
     vectorized binary search over the sorted distinct left keys; every
-    other shape uses the hash kernel — a Python dict probe with exactly
-    the row path's key-equality semantics (so ``1 == 1.0 == True``
-    collide there just as they do in the cogroup dict).
+    other shape falls back to :func:`_probe_hash`, whose codes it must
+    reproduce element for element.
     """
-    n = right_cat.n
-    if n == 0:
+    if right_cat.n == 0:
         return _EMPTY_IDX
-    if strategy != "hash" and len(on) == 1 and uniq_keys:
+    if len(on) == 1 and uniq_keys:
         arr = right_cat.cols[on[0]]
         if arr.dtype in (np.dtype(np.int64), np.dtype(bool)) and \
                 all(type(k[0]) in (int, bool) for k in uniq_keys):
@@ -446,9 +431,17 @@ def _probe_codes(right_cat: ColumnBatch, on: Tuple[str, ...],
                                  len(sorted_cand) - 1)
                 hit = sorted_cand[pos] == probe
                 return np.where(hit, order[pos], -1).astype(np.int64)
+    return _probe_hash(right_cat, on, uniq_keys)
+
+
+def _probe_hash(right_cat: ColumnBatch, on: Tuple[str, ...],
+                uniq_keys: List[tuple]) -> np.ndarray:
+    """The hash kernel: a Python dict probe with exactly the row path's
+    key-equality semantics (so ``1 == 1.0 == True`` collide here just as
+    they do in the cogroup dict).  Also the sort-merge kernel's oracle."""
     index = {k: i for i, k in enumerate(uniq_keys)}
     lists = [right_cat.cols[c].tolist() for c in on]
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(right_cat.n, dtype=np.int64)
     for i, key in enumerate(zip(*lists)):
         out[i] = index.get(key, -1)
     return out
@@ -466,7 +459,7 @@ def _gather_right(arr: np.ndarray, rt: np.ndarray,
 def _join_reduce(lbs: List[ColumnBatch], rbs: List[ColumnBatch],
                  lschema: Tuple[str, ...], rschema: Tuple[str, ...],
                  on: Tuple[str, ...], right_extra: Tuple[str, ...],
-                 how: str, strategy: str) -> List[ColumnBatch]:
+                 how: str) -> List[ColumnBatch]:
     """Reduce side: join one partition's left/right blocks."""
     left_cat = _concat_batches(lbs, lschema)
     if left_cat.n == 0:
@@ -474,7 +467,7 @@ def _join_reduce(lbs: List[ColumnBatch], rbs: List[ColumnBatch],
     right_cat = _concat_batches(rbs, rschema)
     codes_l, uniq_keys = factorize(left_cat, on)
     n_groups = len(uniq_keys)
-    codes_r = _probe_codes(right_cat, on, uniq_keys, strategy)
+    codes_r = _probe_codes(right_cat, on, uniq_keys)
     lgroups = _group_indices(codes_l, n_groups)
     valid = codes_r >= 0
     ridx = np.nonzero(valid)[0]
@@ -512,7 +505,6 @@ def _join_batches(plan: Join, left_b, right_b, ctx, n_partitions: int):
     rschema = tuple(plan.right.schema)
     right_extra = tuple(c for c in rschema if c not in plan.on)
     how = plan.how
-    strategy = get_adaptive_config().join_strategy
     part = join_partitioner(plan, n_partitions)
     lblocks = left_b.flat_map(
         lambda b, _on=on, _p=part: _key_blocks(b, _on, _p))
@@ -522,9 +514,9 @@ def _join_batches(plan: Join, left_b, right_b, ctx, n_partitions: int):
                                DirectPartitioner(part.n_partitions))
 
     def emit(kv, _ls=lschema, _rs=rschema, _on=on, _ex=right_extra,
-             _how=how, _st=strategy):
+             _how=how):
         _p, (lbs, rbs) = kv
-        return _join_reduce(lbs, rbs, _ls, _rs, _on, _ex, _how, _st)
+        return _join_reduce(lbs, rbs, _ls, _rs, _on, _ex, _how)
     return grouped.flat_map(emit)
 
 
@@ -669,6 +661,9 @@ def _lower(plan: LogicalPlan, ctx, n_partitions: int):
     # order_by / top-k / limit / distinct: per-operator fallback to the
     # row interpreter — children are converted to rows at the seam
     from .frame import _lower_row
+    reg = get_registry()
+    if reg is not None:
+        reg.counter("sql.columnar_row_fallbacks").inc()
     children = []
     for c in plan.children:
         ds, is_batch = _lower(c, ctx, n_partitions)

@@ -27,7 +27,6 @@ from .adaptive import (
     BroadcastJoin,
     TopK,
     adapt,
-    adaptive_enabled,
     join_partitioner,
 )
 from .expr import Column, Expr, col
@@ -171,46 +170,38 @@ class DataFrame:
         plan = optimize(_clone(self.plan)) if optimized else self.plan
         return plan.describe()
 
-    def to_dataset(self, optimized: bool = True,
-                   columnar: Optional[bool] = None,
-                   adaptive: Optional[bool] = None) -> Dataset:
+    def to_dataset(self, optimized: bool = True) -> Dataset:
         """Compile to a Dataset of dict rows.
 
-        ``columnar`` forces the vectorized (True) or interpreted (False)
-        engine for this query; ``None`` follows the process-wide default
-        (:func:`repro.sql.columnar.set_columnar`).  Both engines produce
-        identical rows in identical order.  ``adaptive`` likewise forces
-        or suppresses adaptive re-planning (:mod:`repro.sql.adaptive`);
-        adaptation happens on the logical plan *before* engine lowering,
+        The context's :class:`~repro.dataflow.context.ExecOptions` pick
+        the engine: ``columnar`` selects the vectorized (True) or
+        interpreted (False) lowering — both produce identical rows in
+        identical order — and a non-None ``adaptive`` config re-plans
+        with measured statistics (:mod:`repro.sql.adaptive`).
+        Adaptation happens on the logical plan *before* engine lowering,
         so both engines execute the same adapted plan.
         """
         plan = optimize(_clone(self.plan)) if optimized else self.plan
-        use_adaptive = adaptive_enabled() if adaptive is None else adaptive
+        options = self.ctx.options
         self.last_adaptive_report: Optional[AdaptiveReport] = None
-        if use_adaptive:
+        if options.adaptive is not None:
             if not optimized:
                 plan = _clone(plan)      # adapt annotates nodes in place
-            plan, report = adapt(plan, self.ctx, self.n_partitions)
+            plan, report = adapt(plan, self.ctx, self.n_partitions,
+                                 options.adaptive)
             self.last_adaptive_report = report
-        from .columnar import columnar_enabled, compile_columnar
-        use_columnar = columnar_enabled() if columnar is None else columnar
-        if use_columnar:
+        if options.columnar:
+            from .columnar import compile_columnar
             return compile_columnar(plan, self.ctx, self.n_partitions)
         return _compile(plan, self.ctx, self.n_partitions)
 
-    def collect(self, optimized: bool = True,
-                columnar: Optional[bool] = None,
-                adaptive: Optional[bool] = None) -> List[Dict[str, Any]]:
+    def collect(self, optimized: bool = True) -> List[Dict[str, Any]]:
         """All rows as dicts."""
-        return self.to_dataset(optimized, columnar=columnar,
-                               adaptive=adaptive).collect()
+        return self.to_dataset(optimized).collect()
 
-    def count(self, optimized: bool = True,
-              columnar: Optional[bool] = None,
-              adaptive: Optional[bool] = None) -> int:
+    def count(self, optimized: bool = True) -> int:
         """Number of rows."""
-        return self.to_dataset(optimized, columnar=columnar,
-                               adaptive=adaptive).count()
+        return self.to_dataset(optimized).count()
 
     def show(self, n: int = 20) -> None:
         """Print up to ``n`` rows as an aligned table."""

@@ -14,20 +14,24 @@ import pytest
 
 from repro.chaos import ClusterChaos, EngineChaos, FaultPlan, InjectionTrace
 from repro.cluster import make_cluster
-from repro.dataflow import CostModel, DataflowContext, EngineConfig, SimEngine
+from repro.dataflow import (
+    CostModel,
+    DataflowContext,
+    EngineConfig,
+    ExecOptions,
+    SimEngine,
+)
 from repro.simcore import Simulator
 from repro.sql import DataFrame, col, count_, sum_
-from repro.sql.adaptive import AdaptiveConfig, set_adaptive
+from repro.sql.adaptive import AdaptiveConfig
 
 SEEDS = range(3)
 
 NODES = [f"h{r}_{i}" for r in range(2) for i in range(4)]
 
-
-@pytest.fixture(autouse=True)
-def _reset_adaptive():
-    yield
-    set_adaptive(False, AdaptiveConfig())
+BROADCAST = AdaptiveConfig(broadcast_rows=100)
+SKEW = AdaptiveConfig(broadcast_rows=1,   # keep the shuffle
+                      skew_min_rows=100, skew_factor=2.0, measure=False)
 
 
 def _fault_plan(seed):
@@ -59,14 +63,15 @@ def _skew_query(ctx, seed):
     return f.join(d, on="k").group_by("k").agg(n=count_(), s=sum_(col("w")))
 
 
-def _run(query_fn, seed, fault_plan, columnar):
+def _run(query_fn, config, seed, fault_plan, columnar):
     sim = Simulator()
     cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)
-    ctx = DataflowContext(default_parallelism=8)
+    ctx = DataflowContext(default_parallelism=8, options=ExecOptions(
+        columnar=columnar, adaptive=config))
     engine = SimEngine(cluster, config=EngineConfig(max_task_retries=8),
                        cost_model=CostModel(cpu_per_record=2e-4))
     q = query_fn(ctx, seed)
-    ds = q.to_dataset(columnar=columnar, adaptive=True)
+    ds = q.to_dataset()
     report = q.last_adaptive_report
     trace = InjectionTrace()
     if fault_plan is not None:
@@ -79,12 +84,14 @@ def _run(query_fn, seed, fault_plan, columnar):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("columnar", [True, False])
 def test_broadcast_join_recovery_equivalence(seed, columnar):
-    set_adaptive(False, AdaptiveConfig(broadcast_rows=100))
-    free, _t, report = _run(_broadcast_query, seed, None, columnar)
+    free, _t, report = _run(_broadcast_query, BROADCAST, seed, None,
+                            columnar)
     assert "broadcast_joins" in report.kinds()      # the rewrite fired
     plan = _fault_plan(seed)
-    faulted1, trace1, _ = _run(_broadcast_query, seed, plan, columnar)
-    faulted2, trace2, _ = _run(_broadcast_query, seed, plan, columnar)
+    faulted1, trace1, _ = _run(_broadcast_query, BROADCAST, seed, plan,
+                               columnar)
+    faulted2, trace2, _ = _run(_broadcast_query, BROADCAST, seed, plan,
+                               columnar)
     assert faulted1 == free, "broadcast join diverged under faults"
     assert faulted1 == faulted2
     assert trace1.signature() == trace2.signature()
@@ -93,14 +100,11 @@ def test_broadcast_join_recovery_equivalence(seed, columnar):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("columnar", [True, False])
 def test_skew_repartition_recovery_equivalence(seed, columnar):
-    set_adaptive(False, AdaptiveConfig(broadcast_rows=1,   # keep the shuffle
-                                       skew_min_rows=100, skew_factor=2.0,
-                                       measure=False))
-    free, _t, report = _run(_skew_query, seed, None, columnar)
+    free, _t, report = _run(_skew_query, SKEW, seed, None, columnar)
     assert "skew_repartitions" in report.kinds()    # hot key was isolated
     plan = _fault_plan(seed)
-    faulted1, trace1, _ = _run(_skew_query, seed, plan, columnar)
-    faulted2, trace2, _ = _run(_skew_query, seed, plan, columnar)
+    faulted1, trace1, _ = _run(_skew_query, SKEW, seed, plan, columnar)
+    faulted2, trace2, _ = _run(_skew_query, SKEW, seed, plan, columnar)
     assert faulted1 == free, "skew re-partition diverged under faults"
     assert faulted1 == faulted2
     assert trace1.signature() == trace2.signature()
@@ -109,9 +113,8 @@ def test_skew_repartition_recovery_equivalence(seed, columnar):
 def test_faults_actually_fire():
     # non-vacuity: across the seeds at least one run injects something
     total = 0
-    set_adaptive(False, AdaptiveConfig(broadcast_rows=100))
     for seed in SEEDS:
-        _out, trace, _r = _run(_broadcast_query, seed, _fault_plan(seed),
-                               True)
+        _out, trace, _r = _run(_broadcast_query, BROADCAST, seed,
+                               _fault_plan(seed), True)
         total += len(trace)
     assert total > 0

@@ -16,28 +16,23 @@ import pytest
 from repro.cluster import make_cluster
 from repro.dataflow import (
     DataflowContext,
+    ExecOptions,
     SimEngine,
-    fusion_enabled,
     fusion_groups,
-    set_fusion,
 )
 from repro.simcore import Simulator
 
 
-@pytest.fixture(autouse=True)
-def _fusion_on_after():
-    yield
-    set_fusion(True)
+def fused_ctx(fused, parallelism=4):
+    return DataflowContext(default_parallelism=parallelism,
+                           options=ExecOptions(fusion=fused))
 
 
 def collect_both(build):
     """(fused, unfused) pickled collect() results of the same plan."""
     out = {}
     for fused in (True, False):
-        set_fusion(fused)
-        ctx = DataflowContext(default_parallelism=4)
-        out[fused] = pickle.dumps(build(ctx).collect())
-    set_fusion(True)
+        out[fused] = pickle.dumps(build(fused_ctx(fused)).collect())
     return out[True], out[False]
 
 
@@ -100,8 +95,7 @@ def test_shuffle_metrics_identical():
                 .reduce_by_key(operator.add, 3))
     traces = {}
     for fused in (True, False):
-        set_fusion(fused)
-        ctx = DataflowContext(4)
+        ctx = fused_ctx(fused)
         ds = build(ctx)
         result = ds.collect()
         traces[fused] = (
@@ -117,8 +111,7 @@ def test_shuffle_metrics_identical():
 
 def test_cached_midpoint_is_barrier_and_hits_cache():
     for fused in (True, False):
-        set_fusion(fused)
-        ctx = DataflowContext(2)
+        ctx = fused_ctx(fused, 2)
         calls = []
         base = ctx.parallelize(range(20), 2).map(
             lambda x: calls.append(x) or x + 1)
@@ -137,7 +130,6 @@ def test_cached_midpoint_is_barrier_and_hits_cache():
             assert len(groups) == 2
             assert all(mid.dataset_id not in g[:-1] for g in groups)
             assert groups[0] == [top.parent.dataset_id, top.dataset_id]
-    set_fusion(True)
 
 
 def test_diamond_multi_child_is_barrier():
@@ -178,19 +170,10 @@ def test_sample_is_barrier_and_deterministic():
 
 
 def test_context_flag_disables_fusion():
-    ctx = DataflowContext(2)
-    ctx.fusion_enabled = False
+    ctx = fused_ctx(False, 2)
     ds = ctx.parallelize(range(30), 2).map(lambda x: x + 1).map(
         lambda x: x * 2)
     assert ds.collect() == [(x + 1) * 2 for x in range(30)]
-
-
-def test_global_toggle_roundtrip():
-    assert fusion_enabled()
-    set_fusion(False)
-    assert not fusion_enabled()
-    set_fusion(True)
-    assert fusion_enabled()
 
 
 def test_deep_chain():
@@ -212,10 +195,10 @@ def test_deep_chain():
 # -- simulated engine -----------------------------------------------------
 
 
-def _sim_collect(build):
+def _sim_collect(build, fused=True):
     sim = Simulator()
     cl = make_cluster(sim, 2, 3)
-    ctx = DataflowContext(default_parallelism=6)
+    ctx = fused_ctx(fused, 6)
     eng = SimEngine(cl)
     res = sim.run_until_done(eng.collect(build(ctx)))
     return res
@@ -229,9 +212,7 @@ def test_simengine_fused_equals_unfused(seed):
             lambda x: (hash(x) % 5, 1)).reduce_by_key(operator.add, 3)
     out = {}
     for fused in (True, False):
-        set_fusion(fused)
-        out[fused] = pickle.dumps(_sim_collect(build).value)
-    set_fusion(True)
+        out[fused] = pickle.dumps(_sim_collect(build, fused).value)
     assert out[True] == out[False]
 
 
@@ -243,10 +224,6 @@ def test_simengine_reports_fused_segments():
                 .map_values(lambda v: v + 1).map(lambda kv: kv[1]))
     res = _sim_collect(build)
     assert res.metrics.fused_segments >= 2   # map side + reduce side
-    set_fusion(False)
-    try:
-        res_off = _sim_collect(build)
-        assert res_off.metrics.fused_segments == 0
-        assert sorted(res_off.value) == sorted(res.value)
-    finally:
-        set_fusion(True)
+    res_off = _sim_collect(build, fused=False)
+    assert res_off.metrics.fused_segments == 0
+    assert sorted(res_off.value) == sorted(res.value)

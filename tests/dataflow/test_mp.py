@@ -17,10 +17,10 @@ from repro.cluster import make_cluster
 from repro.common.errors import PlanError, UnpicklableTaskError
 from repro.dataflow import (
     DataflowContext,
+    ExecOptions,
     ProcessPoolBackend,
     SimEngine,
     fusion,
-    set_fusion,
 )
 from repro.dataflow.fusion import (
     prime_segments,
@@ -33,12 +33,6 @@ from repro.simcore import Simulator
 from .test_fusion import random_chain
 
 
-@pytest.fixture(autouse=True)
-def _fusion_on_after():
-    yield
-    set_fusion(True)
-
-
 @pytest.fixture(scope="module")
 def pool():
     """One warm 2-worker pool shared by the whole module."""
@@ -47,18 +41,18 @@ def pool():
     backend.shutdown()
 
 
-def pool_ctx(pool, parallelism=4):
-    ctx = DataflowContext(default_parallelism=parallelism)
+def pool_ctx(pool, parallelism=4, options=ExecOptions()):
+    ctx = DataflowContext(default_parallelism=parallelism, options=options)
     ctx.attach_pool(pool)
     ctx.backend = "pool"
     return ctx
 
 
-def collect_both_backends(build, pool, parallelism=4):
+def collect_both_backends(build, pool, parallelism=4, options=ExecOptions()):
     """(inprocess, pool) pickled collect() results of the same plan."""
-    ctx_a = DataflowContext(default_parallelism=parallelism)
+    ctx_a = DataflowContext(default_parallelism=parallelism, options=options)
     a = pickle.dumps(build(ctx_a).collect())
-    ctx_b = pool_ctx(pool, parallelism)
+    ctx_b = pool_ctx(pool, parallelism, options)
     b = pickle.dumps(build(ctx_b).collect())
     return a, b
 
@@ -75,11 +69,11 @@ def test_random_chain_pool_byte_identical(seed, pool):
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_pool_fusion_toggle_reprimes(fused, pool):
-    # flipping the global fusion switch must re-prime the workers, not
-    # serve results compiled under the other mode
-    set_fusion(fused)
+    # the fusion option rides to the workers on the primed context: a
+    # pool must not serve results compiled under the other mode
     local, pooled = collect_both_backends(
-        lambda ctx: random_chain(ctx, random.Random(3)), pool)
+        lambda ctx: random_chain(ctx, random.Random(3)), pool,
+        options=ExecOptions(fusion=fused))
     assert local == pooled
 
 
@@ -196,7 +190,7 @@ def test_pool_broadcast(pool):
         run(pool_ctx(pool))
 
 
-# -- toggles ---------------------------------------------------------------
+# -- backend selection -----------------------------------------------------
 
 
 def test_backend_validation():

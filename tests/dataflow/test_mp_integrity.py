@@ -8,27 +8,15 @@ import pytest
 
 from repro.common.errors import BucketFileError, ChecksumError
 from repro.dataflow import DataflowContext, ProcessPoolBackend
-from repro.dataflow import shuffleio
-from repro.dataflow.shuffleio import (
-    checksums_enabled,
-    read_bucket_file,
-    set_checksums,
-    write_bucket_file,
-)
+from repro.dataflow.shuffleio import read_bucket_file, write_bucket_file
 
 BUCKETS = [[("a", 1), ("b", 2)], [], [("c", [3, 4]), ("d", None)]]
-
-
-@pytest.fixture(autouse=True)
-def _checksums_on_after():
-    yield
-    set_checksums(True)
 
 
 @pytest.fixture()
 def spill(tmp_path):
     path = str(tmp_path / "s0-m0.buckets")
-    offsets = write_bucket_file(path, BUCKETS)
+    offsets = write_bucket_file(path, BUCKETS, checksums=True)
     return path, offsets
 
 
@@ -41,7 +29,6 @@ class TestBucketFileValidation:
     def test_offsets_carry_crc(self, spill):
         _, offsets = spill
         assert all(len(e) == 3 for e in offsets)
-        assert checksums_enabled()
 
     def test_reduce_id_out_of_range(self, spill):
         path, offsets = spill
@@ -99,9 +86,8 @@ class TestBucketFileValidation:
             ("shuffle", path, off)
 
     def test_checksums_off_writes_pairs(self, tmp_path):
-        set_checksums(False)
         path = str(tmp_path / "plain.buckets")
-        offsets = write_bucket_file(path, BUCKETS)
+        offsets = write_bucket_file(path, BUCKETS, checksums=False)
         assert all(len(e) == 2 for e in offsets)
         # no CRC recorded -> corruption passes unverified (the A/B
         # control the perf suite measures against)
@@ -193,27 +179,5 @@ class TestPoolRecovery:
                                 offset=0, expected=1, actual=2)
             with pytest.raises(ChecksumError):
                 ex._recover_corrupt_bucket(exc)
-        finally:
-            backend.shutdown()
-
-    def test_workers_honor_checksum_toggle(self):
-        # the prime payload ships the toggle: a pool primed with
-        # checksums off writes 2-tuple offsets in its spill files
-        set_checksums(False)
-        backend = ProcessPoolBackend(n_workers=2)
-        ctx = DataflowContext(default_parallelism=4)
-        ctx.attach_pool(backend)
-        ctx.backend = "pool"
-        try:
-            first = sorted(self._wordcount(ctx).collect())
-            ex = ctx.pooled_executor
-            (sid, refs), = ex._shuffle_refs.items()
-            assert all(len(e) == 2 for _path, offs in refs for e in offs)
-            set_checksums(True)     # re-primes; fresh shuffles carry CRCs
-            ex.clear()
-            ds = self._wordcount(ctx)
-            assert sorted(ds.collect()) == first
-            (sid, refs), = ex._shuffle_refs.items()
-            assert all(len(e) == 3 for _path, offs in refs for e in offs)
         finally:
             backend.shutdown()

@@ -16,7 +16,13 @@ import pytest
 from repro.chaos.adapters import ClusterChaos, EngineChaos, InjectionTrace
 from repro.chaos.plan import FaultPlan
 from repro.cluster import make_cluster
-from repro.dataflow import CostModel, DataflowContext, EngineConfig, SimEngine
+from repro.dataflow import (
+    CostModel,
+    DataflowContext,
+    EngineConfig,
+    ExecOptions,
+    SimEngine,
+)
 from repro.obs import trace_to
 from repro.simcore import Simulator
 from repro.sql import DataFrame, col, count_, sum_
@@ -116,9 +122,9 @@ def test_traced_fused_sql_run_validates():
            .where(col("rev") > 20)
            .group_by("region").agg(t=sum_(col("rev")), n=count_()))
     with trace_to() as tr:
-        res = sim.run_until_done(eng.collect(q.to_dataset(columnar=True)))
-    assert list(map(repr, res.value)) == \
-        list(map(repr, q.collect(columnar=False)))
+        res = sim.run_until_done(eng.collect(q.to_dataset()))
+    ctx.options = ExecOptions(columnar=False)
+    assert list(map(repr, res.value)) == list(map(repr, q.collect()))
     assert tr.validate() == []
     # fusion is on by default: the stage spans carry the segment layout
     stages = tr.find(cat="stage")

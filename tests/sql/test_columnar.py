@@ -7,6 +7,7 @@ engines, including across the UDF-fallback boundary and on the simulated
 cluster.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -14,17 +15,16 @@ import pytest
 
 from repro.cluster import make_cluster
 from repro.dataflow import DataflowContext, SimEngine
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.simcore import Simulator
 from repro.sql import (
     DataFrame,
     avg_,
     col,
-    columnar_enabled,
     count_,
     lit,
     max_,
     min_,
-    set_columnar,
     sum_,
 )
 from repro.sql.columnar import ColumnBatch, make_array
@@ -46,10 +46,16 @@ def sales_rows(n=300, seed=5):
     } for _ in range(n)]
 
 
+def under(q, **options):
+    """``q`` with its context's ExecOptions updated by ``options``."""
+    q.ctx.options = dataclasses.replace(q.ctx.options, **options)
+    return q
+
+
 def both(q, exact=True):
     """Collect through each engine and assert equivalence."""
-    a = q.collect(columnar=True)
-    b = q.collect(columnar=False)
+    a = under(q, columnar=True).collect()
+    b = under(q, columnar=False).collect()
     if exact:
         assert list(map(repr, a)) == list(map(repr, b))
     else:
@@ -162,14 +168,15 @@ class TestQueryShapes:
     def test_count_action(self, ctx):
         df = DataFrame.from_rows(ctx, sales_rows())
         q = df.where(col("ok"))
-        assert q.count(columnar=True) == q.count(columnar=False)
+        assert under(q, columnar=True).count() == \
+            under(q, columnar=False).count()
 
     def test_unoptimized_equivalence(self, ctx):
         df = DataFrame.from_rows(ctx, sales_rows())
         q = df.with_column("rev", col("price") * col("qty")).where(
             col("rev") > 30).group_by("region").agg(t=sum_(col("rev")))
-        a = q.collect(optimized=False, columnar=True)
-        b = q.collect(optimized=False, columnar=False)
+        a = under(q, columnar=True).collect(optimized=False)
+        b = under(q, columnar=False).collect(optimized=False)
         assert list(map(repr, a)) == list(map(repr, b))
 
 
@@ -183,10 +190,10 @@ class TestUdfBoundary:
         q = df.select(
             col("qty").apply(lambda v: seen.append(type(v)) or v + 1,
                              "inc").alias("q1"))
-        out = q.collect(columnar=True)
+        out = under(q, columnar=True).collect()
         assert all(t is int for t in seen)        # never numpy scalars
         assert [r["q1"] for r in out] == \
-            [r["q1"] for r in q.collect(columnar=False)]
+            [r["q1"] for r in under(q, columnar=False).collect()]
 
     def test_udf_inside_vectorized_expression(self, ctx):
         df = DataFrame.from_rows(ctx, sales_rows())
@@ -246,21 +253,31 @@ def test_randomized_queries_equivalent(ctx, seed):
     both(q)
 
 
-# -- engine toggles and the simulated cluster ------------------------------
+# -- counted row-interpreter fallback --------------------------------------
 
 
-def test_global_toggle(ctx):
-    df = DataFrame.from_rows(ctx, sales_rows(n=50))
-    q = df.where(col("qty") > 1)
-    assert columnar_enabled()
+def row_fallbacks(q):
+    """``sql.columnar_row_fallbacks`` counted while compiling ``q``."""
+    reg = MetricsRegistry()
+    prev = set_registry(reg)
     try:
-        set_columnar(False)
-        assert not columnar_enabled()
-        rows_off = q.collect()
-        set_columnar(True)
-        assert list(map(repr, q.collect())) == list(map(repr, rows_off))
+        q.collect()
     finally:
-        set_columnar(True)
+        set_registry(prev)
+    return reg.value("sql.columnar_row_fallbacks")
+
+
+def test_row_fallback_is_counted(ctx):
+    df = DataFrame.from_rows(ctx, sales_rows())
+    ordered = df.order_by("price").limit(5)
+    assert row_fallbacks(ordered) >= 1
+    assert row_fallbacks(df.where(col("qty") > 1)
+                         .group_by("region").agg(n=count_())) == 0
+    # the row engine has no fallback seam to count
+    assert row_fallbacks(under(ordered, columnar=False)) == 0
+
+
+# -- the simulated cluster -------------------------------------------------
 
 
 def test_simengine_runs_columnar_plans():
@@ -272,6 +289,6 @@ def test_simengine_runs_columnar_plans():
     q = (df.with_column("rev", col("price") * col("qty"))
            .where(col("rev") > 20)
            .group_by("region").agg(t=sum_(col("rev")), n=count_()))
-    res = sim.run_until_done(eng.collect(q.to_dataset(columnar=True)))
+    res = sim.run_until_done(eng.collect(q.to_dataset()))
     assert list(map(repr, res.value)) == \
-        list(map(repr, q.collect(columnar=False)))
+        list(map(repr, under(q, columnar=False).collect()))

@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from repro.dataflow import DataflowContext, ProcessPoolBackend
-from repro.sql import DataFrame, avg_, col, count_, sum_
+from repro.dataflow import DataflowContext, ExecOptions, ProcessPoolBackend
+from repro.sql import AdaptiveConfig, DataFrame, avg_, col, count_, sum_
 
 from .test_columnar import random_query, sales_rows
 
@@ -23,14 +23,18 @@ def pool():
     backend.shutdown()
 
 
-def collect_both_backends(build, pool, columnar=True):
-    ctx_a = DataflowContext(default_parallelism=4)
-    a = build(ctx_a).collect(columnar=columnar)
-    ctx_b = DataflowContext(default_parallelism=4)
+def collect_both_backends(build, pool, options=ExecOptions()):
+    ctx_a = DataflowContext(default_parallelism=4, options=options)
+    a = build(ctx_a).collect()
+    ctx_b = DataflowContext(default_parallelism=4, options=options)
     ctx_b.attach_pool(pool)
     ctx_b.backend = "pool"
-    b = build(ctx_b).collect(columnar=columnar)
+    b = build(ctx_b).collect()
     return a, b
+
+
+def aqe_options(adaptive, config=AdaptiveConfig()):
+    return ExecOptions(adaptive=config if adaptive else None)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -53,7 +57,8 @@ def test_aggregate_query_pool_identical(columnar, pool):
                 .group_by("region")
                 .agg(rev=sum_(col("rev")), price=avg_(col("price")),
                      n=count_()))
-    local, pooled = collect_both_backends(build, pool, columnar=columnar)
+    local, pooled = collect_both_backends(
+        build, pool, ExecOptions(columnar=columnar))
     assert sorted(map(repr, local)) == sorted(map(repr, pooled))
 
 
@@ -69,14 +74,6 @@ def test_udf_fallback_pool_identical(pool):
 
 
 # -- joins and adaptive execution on the pool ------------------------------
-
-
-@pytest.fixture(autouse=True)
-def _reset_adaptive():
-    from repro.sql.adaptive import AdaptiveConfig
-    from repro.sql import set_adaptive
-    yield
-    set_adaptive(False, AdaptiveConfig())
 
 
 def _join_tables(seed, n=220, nulls=True):
@@ -97,21 +94,14 @@ def test_join_queries_pool_identical(seed, adaptive, pool):
         f = DataFrame.from_rows(ctx, fact, name="fact", schema=["k", "v"])
         d = DataFrame.from_rows(ctx, dim, name="dim", schema=["k", "w"])
         return f.join(d, on="k", how=how)
-    ctx_a = DataflowContext(default_parallelism=4)
-    a = build(ctx_a).collect(columnar=True, adaptive=adaptive)
-    ctx_b = DataflowContext(default_parallelism=4)
-    ctx_b.attach_pool(pool)
-    ctx_b.backend = "pool"
-    b = build(ctx_b).collect(columnar=True, adaptive=adaptive)
+    a, b = collect_both_backends(build, pool, aqe_options(adaptive))
     assert list(map(repr, a)) == list(map(repr, b))
 
 
 def test_adaptive_broadcast_pool_identical(pool):
     # a dim table under the broadcast threshold: the rewrite must fire
     # and the broadcast payload must ship to pool workers intact
-    from repro.sql import set_adaptive
-    from repro.sql.adaptive import AdaptiveConfig
-    set_adaptive(False, AdaptiveConfig(broadcast_rows=100))
+    options = aqe_options(True, AdaptiveConfig(broadcast_rows=100))
     fact, _ = _join_tables(11, n=400, nulls=False)
     dim = [{"k": i, "label": f"g{i}"} for i in range(18)]
 
@@ -120,15 +110,10 @@ def test_adaptive_broadcast_pool_identical(pool):
         d = DataFrame.from_rows(ctx, dim, name="dim")
         return (f.join(d, on="k")
                 .group_by("label").agg(n=count_(), s=sum_(col("v"))))
-    ctx_a = DataflowContext(default_parallelism=4)
-    q = build(ctx_a)
-    q.to_dataset(columnar=True, adaptive=True)
+    q = build(DataflowContext(default_parallelism=4, options=options))
+    q.to_dataset()
     assert "broadcast_joins" in q.last_adaptive_report.kinds()
-    a = build(ctx_a).collect(columnar=True, adaptive=True)
-    ctx_b = DataflowContext(default_parallelism=4)
-    ctx_b.attach_pool(pool)
-    ctx_b.backend = "pool"
-    b = build(ctx_b).collect(columnar=True, adaptive=True)
+    a, b = collect_both_backends(build, pool, options)
     assert sorted(map(repr, a)) == sorted(map(repr, b))
 
 
@@ -142,11 +127,6 @@ def test_ordered_join_pool_byte_identical(pool):
         d = DataFrame.from_rows(ctx, dim, name="dim", schema=["k", "w"])
         return f.join(d, on="k").order_by("v", ascending=False).limit(29)
     for adaptive in (False, True):
-        local, pooled = [], []
-        ctx_a = DataflowContext(default_parallelism=4)
-        local = build(ctx_a).collect(columnar=True, adaptive=adaptive)
-        ctx_b = DataflowContext(default_parallelism=4)
-        ctx_b.attach_pool(pool)
-        ctx_b.backend = "pool"
-        pooled = build(ctx_b).collect(columnar=True, adaptive=adaptive)
+        local, pooled = collect_both_backends(build, pool,
+                                              aqe_options(adaptive))
         assert list(map(repr, local)) == list(map(repr, pooled))

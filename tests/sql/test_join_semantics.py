@@ -19,17 +19,20 @@ Contract under test:
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.dataflow import DataflowContext
+from repro.dataflow import DataflowContext, ExecOptions
 from repro.sql import (
     DataFrame,
     col,
     count_,
-    set_adaptive,
     sum_,
 )
-from repro.sql.adaptive import AdaptiveConfig, get_adaptive_config
+from repro.sql.adaptive import AdaptiveConfig
+from repro.sql.columnar import (
+    ColumnBatch, _probe_codes, _probe_hash, factorize,
+)
 
 
 @pytest.fixture
@@ -37,14 +40,14 @@ def ctx():
     return DataflowContext(default_parallelism=4)
 
 
-@pytest.fixture(autouse=True)
-def _reset_adaptive():
-    yield
-    set_adaptive(False, AdaptiveConfig())
-
-
 def frame(ctx, rows, name, schema):
     return DataFrame.from_rows(ctx, rows, name=name, schema=schema)
+
+
+def mode_ctx(n, columnar, aqe):
+    """A context running one engine x adaptive mode."""
+    return DataflowContext(default_parallelism=n, options=ExecOptions(
+        columnar=columnar, adaptive=AdaptiveConfig() if aqe else None))
 
 
 def sweep(build, n=4, exact_modes=True):
@@ -57,9 +60,7 @@ def sweep(build, n=4, exact_modes=True):
     for aqe in (False, True):
         per_mode = []
         for columnar in (False, True):
-            ctx = DataflowContext(default_parallelism=n)
-            out = build(ctx).collect(columnar=columnar, adaptive=aqe)
-            per_mode.append(out)
+            per_mode.append(build(mode_ctx(n, columnar, aqe)).collect())
         a, b = map(lambda rs: list(map(repr, rs)), per_mode)
         assert a == b, f"columnar/row diverge (adaptive={aqe})"
         if base is None:
@@ -198,34 +199,60 @@ class TestEmptyAndLeftJoin:
         assert repr(out[0]["w"]) == "7"     # not numpy int64 wrapper
 
 
-# -- join strategies -------------------------------------------------------
+# -- join kernels ----------------------------------------------------------
 
 
-class TestJoinStrategies:
-    def _data(self, seed=7, n=300):
-        rng = random.Random(seed)
-        L = [{"k": rng.randrange(40), "v": i} for i in range(n)]
-        R = [{"k": rng.randrange(40), "w": i} for i in range(n // 3)]
-        return L, R
+def _int_keys(rng, n):
+    return [rng.randrange(-20, 40) for _ in range(n)]
 
-    @pytest.mark.parametrize("strategy", ["hash", "sort_merge"])
-    def test_forced_strategy_matches_row_oracle(self, strategy):
-        L, R = self._data()
-        set_adaptive(False, AdaptiveConfig(join_strategy=strategy))
-        assert get_adaptive_config().join_strategy == strategy
-        out = sweep(lambda c: frame(c, L, "L", ["k", "v"])
-                    .join(frame(c, R, "R", ["k", "w"]), on="k"))
-        assert out       # non-vacuous
 
-    def test_sort_merge_falls_back_on_non_integer_keys(self):
-        # strings can't take the searchsorted path; the kernel must fall
-        # back to the hash probe silently and stay exact
-        L = [{"k": w, "v": i} for i, w in enumerate(["a", "b", "a", "c"])]
-        R = [{"k": w, "w": i} for i, w in enumerate(["a", "c"])]
-        set_adaptive(False, AdaptiveConfig(join_strategy="sort_merge"))
-        out = sweep(lambda c: frame(c, L, "L", ["k", "v"])
-                    .join(frame(c, R, "R", ["k", "w"]), on="k"))
-        assert len(out) == 3
+#: key family -> (left keys, right keys) generator; the sort-merge kernel
+#: takes the int64/bool families, every other one falls back to the hash
+#: kernel, and both must produce the same codes
+KEY_FAMILIES = {
+    "int64": lambda rng, n: (_int_keys(rng, n), _int_keys(rng, n)),
+    "bool": lambda rng, n: ([rng.random() < 0.5 for _ in range(n)],
+                            [rng.random() < 0.3 for _ in range(n)]),
+    "int_vs_bool": lambda rng, n: (_int_keys(rng, n),
+                                   [rng.random() < 0.5 for _ in range(n)]),
+    "mixed_numeric": lambda rng, n: tuple(
+        [rng.choice([0, 1, 1.0, True, False, 2.5, -3, 7])
+         for _ in range(n)] for _side in range(2)),
+    "string": lambda rng, n: tuple(
+        [rng.choice(["a", "b", "1", "", "zz"]) for _ in range(n)]
+        for _side in range(2)),
+    "beyond_int64_left": lambda rng, n: (
+        _int_keys(rng, n) + [2 ** 70, -(2 ** 64)], _int_keys(rng, n)),
+    "beyond_int64_right": lambda rng, n: (
+        _int_keys(rng, n), _int_keys(rng, n) + [2 ** 70]),
+    "empty_right": lambda rng, n: (_int_keys(rng, n), []),
+    "empty_left": lambda rng, n: ([], _int_keys(rng, n)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(KEY_FAMILIES))
+@pytest.mark.parametrize("seed", range(3))
+def test_probe_codes_matches_hash_kernel(family, seed):
+    rng = random.Random(seed)
+    left_keys, right_keys = KEY_FAMILIES[family](rng, rng.randrange(1, 60))
+    left = ColumnBatch.from_rows([{"k": k} for k in left_keys], ["k"])
+    right = ColumnBatch.from_rows([{"k": k} for k in right_keys], ["k"])
+    _codes, uniq_keys = factorize(left, ("k",))
+    fast = _probe_codes(right, ("k",), uniq_keys)
+    oracle = _probe_hash(right, ("k",), uniq_keys)
+    assert fast.dtype == oracle.dtype == np.int64
+    assert fast.tolist() == oracle.tolist()
+    if family == "int64":          # non-vacuous: some rows hit, some miss
+        assert 0 < int((oracle >= 0).sum()) < len(right_keys)
+
+
+def test_int_key_join_matches_row_oracle():
+    rng = random.Random(7)
+    L = [{"k": rng.randrange(40), "v": i} for i in range(300)]
+    R = [{"k": rng.randrange(40), "w": i} for i in range(100)]
+    out = sweep(lambda c: frame(c, L, "L", ["k", "v"])
+                .join(frame(c, R, "R", ["k", "w"]), on="k"))
+    assert out       # non-vacuous
 
 
 # -- randomized join-heavy harness ----------------------------------------
@@ -286,10 +313,8 @@ def test_randomized_ordered_joins_byte_stable_under_aqe(seed):
     outs = []
     for columnar in (False, True):
         for aqe in (False, True):
-            ctx = DataflowContext(default_parallelism=5)
-            outs.append(list(map(repr,
-                                 build(ctx).collect(columnar=columnar,
-                                                    adaptive=aqe))))
+            outs.append(list(map(repr, build(mode_ctx(5, columnar, aqe))
+                                 .collect())))
     assert all(o == outs[0] for o in outs[1:])
 
 
@@ -320,9 +345,8 @@ class TestAdaptiveFloatContract:
         for aqe in (False, True):
             per_mode = []
             for columnar in (False, True):
-                ctx = DataflowContext(default_parallelism=6)
-                q = build(ctx)
-                out = q.collect(columnar=columnar, adaptive=aqe)
+                q = build(mode_ctx(6, columnar, aqe))
+                out = q.collect()
                 if aqe:     # non-vacuity: the shuffle really was rewritten
                     assert "broadcast_joins" in q.last_adaptive_report.kinds()
                 per_mode.append(list(map(repr, out)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow import DataflowContext
+from repro.dataflow import DataflowContext, ExecOptions
 from repro.sql import (
     DataFrame,
     Filter,
@@ -137,11 +137,11 @@ class TestColumnPruning:
         dims = [{"k": i, "label": f"g{i}"} for i in range(10)]
 
         def shuffled_bytes(optimized, columnar):
-            c = DataflowContext()
+            c = DataflowContext(options=ExecOptions(columnar=columnar))
             q = (DataFrame.from_rows(c, fat, name="fact")
                  .join(DataFrame.from_rows(c, dims, name="dim"), on="k")
                  .group_by("label").agg(s=sum_(col("x"))))
-            q.collect(optimized=optimized, columnar=columnar)
+            q.collect(optimized=optimized)
             return sum(m.bytes_written
                        for m in c.local_executor.shuffle_metrics.values())
         # calibrated on the row interpreter, which pickles whole row dicts

@@ -15,8 +15,8 @@ import random
 
 import pytest
 
-from repro.dataflow import DataflowContext, ProcessPoolBackend
-from repro.sql import DataFrame
+from repro.dataflow import DataflowContext, ExecOptions, ProcessPoolBackend
+from repro.sql import AdaptiveConfig, DataFrame
 from repro.sql.frame import _sort_token
 
 SEED = 1234
@@ -42,12 +42,14 @@ def pool():
     backend.shutdown()
 
 
-def _collect(build, pool=None, **kw):
-    ctx = DataflowContext(default_parallelism=5)
+def _collect(build, columnar, adaptive, pool=None):
+    options = ExecOptions(columnar=columnar,
+                          adaptive=AdaptiveConfig() if adaptive else None)
+    ctx = DataflowContext(default_parallelism=5, options=options)
     if pool is not None:
         ctx.attach_pool(pool)
         ctx.backend = "pool"
-    return build(ctx).collect(**kw)
+    return build(ctx).collect()
 
 
 @pytest.mark.parametrize("ascending", [True, False])
