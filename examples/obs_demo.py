@@ -25,6 +25,7 @@ from repro.chaos.plan import FaultPlan
 from repro.cluster import make_cluster
 from repro.dataflow import CostModel, DataflowContext, EngineConfig, SimEngine
 from repro.obs import MetricsRegistry, metrics, trace_to
+from repro.resilience import ResiliencePolicies, RetryPolicy
 from repro.simcore import Simulator
 
 OUT_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -34,7 +35,8 @@ def main(seed: int = 0) -> None:
     sim = Simulator()
     cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)
     ctx = DataflowContext(default_parallelism=8)
-    engine = SimEngine(cluster, config=EngineConfig(max_task_retries=8),
+    retry = ResiliencePolicies(retry=RetryPolicy(max_attempts=9))
+    engine = SimEngine(cluster, config=EngineConfig(resilience=retry),
                        cost_model=CostModel(cpu_per_record=2e-4))
     rng = np.random.default_rng([seed, 101])
     vocab = [f"w{i:03d}" for i in range(40)]

@@ -1121,14 +1121,15 @@ def measure_resilience_overhead(scale: float = 1.0, reps: int = 15,
 
     Two interleaved legs of the same end-to-end job:
 
-    * ``off`` — ``EngineConfig.resilience=None``: the pre-policy engine.
+    * ``off`` — ``EngineConfig.resilience=None``: the default policies
+      (each job's retry session runs ``DEFAULT_TASK_RETRY``; no hedge,
+      no deadline).
     * ``armed`` — a full :class:`ResiliencePolicies` stack (retry session
       with backoff + budget, hedging at 3x the tail quantile, a deadline
       that never fires).  On this healthy homogeneous run no retry, no
       deadline and no budget can trigger, so the measured difference is
-      the pure bookkeeping cost of carrying the policies: the per-task
-      ``record_success`` call, the deadline watchdog, and the hedge-armed
-      poll timer.
+      the pure bookkeeping cost of the extra policies: the deadline
+      watchdog and the hedge-armed poll timer.
 
     Both legs must compute the identical result.  The measurement and
     noise handling mirror :func:`measure_obs_overhead`.

@@ -126,6 +126,11 @@ def _dataflow_words(seed: int, n: int = 3000) -> List[str]:
     vocab = [f"w{i:03d}" for i in range(40)]
     return [vocab[j] for j in rng.integers(0, len(vocab), size=n)]
 
+
+#: Task retries of the oracle jobs that name no policy: eight retries.
+_ORACLE_RETRY = ResiliencePolicies(retry=RetryPolicy(max_attempts=9))
+
+
 def _run_dataflow(seed: int, plan: Optional[FaultPlan],
                   monitor: Optional[Callable[[Simulator], None]] = None,
                   policies: Optional[ResiliencePolicies] = None):
@@ -133,8 +138,8 @@ def _run_dataflow(seed: int, plan: Optional[FaultPlan],
     cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)
     ctx = DataflowContext(default_parallelism=8)
     engine = SimEngine(cluster,
-                       config=EngineConfig(max_task_retries=8,
-                                           resilience=policies),
+                       config=EngineConfig(
+                           resilience=policies or _ORACLE_RETRY),
                        cost_model=CostModel(cpu_per_record=2e-4))
     words = _dataflow_words(seed)
     ds = ctx.parallelize(words, 8).map(lambda w: (w, 1)).reduce_by_key(add, 6)
@@ -236,7 +241,7 @@ def check_streaming(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport
 # --------------------------------------------------------------------- microbatch
 
 def check_microbatch(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport:
-    """Micro-batch engine under load bursts, with idle (zero-rate) windows."""
+    """Micro-batch engine under load bursts and admission; idle windows."""
     if plan is None:
         plan = FaultPlan.renewal(seed, horizon=60.0,
                                  rates={"load_burst": 0.05},
@@ -244,8 +249,9 @@ def check_microbatch(seed: int, plan: Optional[FaultPlan] = None) -> OracleRepor
     report = OracleReport("microbatch", seed, plan)
     report.injections = sum(1 for e in plan if e.kind == "load_burst")
     cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=2e-4,
-                           parallelism=2, backpressure=True,
-                           backlog_threshold=2, throttle_factor=0.5)
+                           parallelism=2,
+                           admission=AdmissionConfig(rate=4000, burst=4000,
+                                                     max_backlog=2))
     duration = 60.0
 
     def base_rate(t: float) -> float:
@@ -257,12 +263,12 @@ def check_microbatch(seed: int, plan: Optional[FaultPlan] = None) -> OracleRepor
     r2 = run_microbatch(rate, cfg, duration)
     offered = sum(int(max(0, round(rate(float(t)) * cfg.batch_interval)))
                   for t in np.arange(0.0, duration, cfg.batch_interval))
-    report.expect(r1.processed_records + r1.dropped_records == offered,
+    report.expect(r1.processed_records + r1.shed_records == offered,
                   "record_conservation")
     report.expect(
-        _bytes((r1.processed_records, r1.dropped_records, r1.max_backlog,
+        _bytes((r1.processed_records, r1.shed_records, r1.max_backlog,
                 r1.batch_times, r1.latency.count))
-        == _bytes((r2.processed_records, r2.dropped_records, r2.max_backlog,
+        == _bytes((r2.processed_records, r2.shed_records, r2.max_backlog,
                    r2.batch_times, r2.latency.count)),
         "result_determinism")
     report.expect(all(bt > cfg.scheduling_overhead for bt in r1.batch_times),
@@ -270,13 +276,16 @@ def check_microbatch(seed: int, plan: Optional[FaultPlan] = None) -> OracleRepor
     # latency is weighted by batch size: one latency observation per record
     report.expect(r1.latency.count == r1.processed_records,
                   "backlog_conservation")
-    # typed-counter flow conservation: in == out + inflight (0 at shutdown)
+    # typed-counter flow conservation over every offered record:
+    # in == out + inflight + shed (inflight 0 at shutdown)
     reg = r1.registry
     report.expect(
         reg is not None
+        and reg.value("stream.records_in") == offered
         and reg.value("stream.records_in")
         == reg.value("stream.records_out")
         + reg.value("stream.records_inflight")
+        + reg.value("stream.records_shed")
         and reg.value("stream.records_inflight") == 0,
         "registry_flow_conservation")
     return report
@@ -631,7 +640,8 @@ def _run_dataflow_corrupt(seed: int, plan: Optional[FaultPlan]):
     sim = Simulator()
     cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)
     ctx = DataflowContext(default_parallelism=8)
-    engine = SimEngine(cluster, config=EngineConfig(max_task_retries=8),
+    engine = SimEngine(cluster,
+                       config=EngineConfig(resilience=_ORACLE_RETRY),
                        cost_model=CostModel(cpu_per_record=2e-4))
     words = _dataflow_words(seed)
     ds = ctx.parallelize(words, 8).map(lambda w: (w, 1)).reduce_by_key(add, 6)

@@ -245,8 +245,8 @@ class TaskFailedError(DataflowError, RetryBudgetExhaustedError):
     """A task exhausted its retry budget and the job must fail.
 
     Doubles as the dataflow-flavoured :class:`RetryBudgetExhaustedError`:
-    when the engine runs under a :class:`~repro.resilience.RetryPolicy`
-    it re-raises budget exhaustion as this type with the session's
+    every job runs a :class:`~repro.resilience.RetrySession`, and the
+    engine re-raises its exhaustion as this type with the session's
     ``op`` / ``job`` / ``stage`` / ``attempts`` context attached, so both
     ``except DataflowError`` call sites and resilience-aware callers see
     the error they expect.

@@ -33,7 +33,8 @@ from ..common.errors import (
 )
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..resilience import Deadline, ResiliencePolicies, RetrySession
+from ..resilience import (Deadline, ResiliencePolicies, RetryPolicy,
+                          RetrySession)
 from ..simcore.events import Event
 from ..simcore.kernel import Simulator
 from ..simcore.resources import Store
@@ -50,7 +51,12 @@ from .stages import (
     topo_order,
 )
 
-__all__ = ["EngineConfig", "SimEngine", "JobMetrics", "JobResult"]
+__all__ = ["EngineConfig", "SimEngine", "JobMetrics", "JobResult",
+           "DEFAULT_TASK_RETRY"]
+
+#: Retry policy of a job whose config names none: a task may fail four
+#: times and is retried at once; its fifth failure fails the job.
+DEFAULT_TASK_RETRY = RetryPolicy(max_attempts=5)
 
 
 class MissingShuffleError(DataflowError):
@@ -66,7 +72,6 @@ class MissingShuffleError(DataflowError):
 class EngineConfig:
     """Engine behaviour knobs (each maps to a published mechanism)."""
 
-    max_task_retries: int = 4
     locality_wait: float = 0.0          # delay-scheduling wait per level (s)
     speculation: bool = False
     speculation_multiplier: float = 1.5  # straggler threshold vs median
@@ -79,7 +84,7 @@ class EngineConfig:
     # shuffle input beyond it spills (one disk write + read of the excess)
     resilience: Optional[ResiliencePolicies] = None
     # policy bundle (retry budget + backoff, hedging, per-job deadline);
-    # None is byte-identical to the pre-policy retry behaviour
+    # without a retry policy every job runs under DEFAULT_TASK_RETRY
     pool_prefetch: bool = True
     # when the owning context's backend is "pool", pure narrow stages (no
     # shuffle input, no cached datasets, no accumulators) are precomputed
@@ -321,6 +326,20 @@ class SimEngine:
             return [acc]
         return self.run_job(ds, finish, per_partition=per_part)
 
+    def _map_output_victims(self, n: int,
+                            rng: Any) -> List[Tuple[int, int]]:
+        """Up to ``n`` registered ``(shuffle_id, map_id)`` pairs, in order:
+        drawn by ``rng`` when given, else the lowest pairs."""
+        keys = [(sid, m) for sid, outs in sorted(self._map_outputs.items())
+                for m in sorted(outs)]
+        if not keys:
+            return []
+        n = max(0, min(int(n), len(keys)))
+        if rng is None:
+            return keys[:n]
+        idx = sorted(rng.permutation(len(keys))[:n].tolist())
+        return [keys[i] for i in idx]
+
     def drop_map_outputs(self, n: int = 1,
                          rng: Any = None) -> List[Tuple[int, int]]:
         """Chaos hook: silently drop up to ``n`` registered map outputs.
@@ -333,16 +352,7 @@ class SimEngine:
         without one the lowest (shuffle_id, map_id) pairs are dropped.
         Returns the dropped pairs.
         """
-        keys = [(sid, m) for sid, outs in sorted(self._map_outputs.items())
-                for m in sorted(outs)]
-        if not keys:
-            return []
-        n = max(0, min(int(n), len(keys)))
-        if rng is not None:
-            idx = sorted(rng.permutation(len(keys))[:n].tolist())
-            chosen = [keys[i] for i in idx]
-        else:
-            chosen = keys[:n]
+        chosen = self._map_output_victims(n, rng)
         for sid, m in chosen:
             self._audit_discard(self._map_outputs[sid][m])
             del self._map_outputs[sid][m]
@@ -362,18 +372,8 @@ class SimEngine:
         the lowest (shuffle_id, map_id) pairs rot, bucket 0 each.
         Returns the corrupted ``(shuffle_id, map_id, reduce_id)`` triples.
         """
-        keys = [(sid, m) for sid, outs in sorted(self._map_outputs.items())
-                for m in sorted(outs)]
-        if not keys:
-            return []
-        n = max(0, min(int(n), len(keys)))
-        if rng is not None:
-            idx = sorted(rng.permutation(len(keys))[:n].tolist())
-            chosen = [keys[i] for i in idx]
-        else:
-            chosen = keys[:n]
         hit: List[Tuple[int, int, int]] = []
-        for sid, m in chosen:
+        for sid, m in self._map_output_victims(n, rng):
             mo = self._map_outputs[sid][m]
             r = int(rng.integers(len(mo.buckets))) if rng is not None else 0
             mo.buckets[r] = list(mo.buckets[r]) + [("\x00corrupt", -1)]
@@ -419,10 +419,9 @@ class SimEngine:
     def _job_proc(self, ds: Dataset, finalize, per_partition, done: Event):
         metrics = JobMetrics(start=self.sim.now)
         pol = self.config.resilience
-        session: Optional[RetrySession] = None
-        if pol is not None and pol.retry is not None:
-            session = pol.retry.session(key=f"ds{ds.dataset_id}",
-                                        job=f"ds{ds.dataset_id}")
+        retry = (pol.retry if pol is not None else None) or DEFAULT_TASK_RETRY
+        session = retry.session(key=f"ds{ds.dataset_id}",
+                                job=f"ds{ds.dataset_id}")
         if pol is not None and pol.deadline_timeout is not None:
             deadline = Deadline.after(self.sim.now, pol.deadline_timeout)
             self.sim.process(self._deadline_watchdog(deadline, done, ds),
@@ -446,11 +445,11 @@ class SimEngine:
                 if stage.is_result:
                     values = yield from self._run_stage(
                         stage, metrics, stage_by_shuffle, per_partition,
-                        parent_span=job_span, session=session)
+                        session, parent_span=job_span)
                 else:
                     yield from self._run_stage(
-                        stage, metrics, stage_by_shuffle, None,
-                        parent_span=job_span, session=session)
+                        stage, metrics, stage_by_shuffle, None, session,
+                        parent_span=job_span)
             parts = [values[i] for i in range(result_stage.n_tasks)]
             metrics.end = self.sim.now
             self._mirror_metrics(metrics)
@@ -579,9 +578,9 @@ class SimEngine:
 
     def _run_stage(self, stage: Stage, metrics: JobMetrics,
                    stage_by_shuffle: Dict[int, Stage],
-                   per_partition, splits: Optional[Sequence[int]] = None,
-                   parent_span: Optional[int] = None,
-                   session: Optional[RetrySession] = None):
+                   per_partition, session: RetrySession,
+                   splits: Optional[Sequence[int]] = None,
+                   parent_span: Optional[int] = None):
         """Generator sub-process executing one stage (possibly partially)."""
         cfg = self.config
         pol = cfg.resilience
@@ -612,7 +611,6 @@ class SimEngine:
         pending: deque = deque(todo)
         wait_start: Dict[int, float] = {s: self.sim.now for s in todo}
         not_before: Dict[int, float] = {}   # policy backoff: earliest relaunch
-        retries: Dict[int, int] = {s: 0 for s in todo}
         attempts: Dict[int, List[_Attempt]] = {s: [] for s in todo}
         done_splits: Set[int] = set()
         durations: List[float] = []
@@ -678,9 +676,8 @@ class SimEngine:
                         reg = obs_metrics.get_registry()
                         if reg is not None:
                             reg.counter("resilience.hedge.wins").inc()
-                    if session is not None:
-                        session.record_success(
-                            f"s{stage.stage_id}t{res.split}", self.sim.now)
+                    session.record_success(
+                        f"s{stage.stage_id}t{res.split}", self.sim.now)
                     continue
                 # failure handling
                 metrics.n_failed_attempts += 1
@@ -704,33 +701,27 @@ class SimEngine:
                                        n_maps=len(still_missing))
                         yield from self._run_stage(parent, metrics,
                                                    stage_by_shuffle, None,
+                                                   session,
                                                    splits=still_missing,
-                                                   parent_span=stage_span,
-                                                   session=session)
+                                                   parent_span=stage_span)
                     pending.append(res.split)
                     wait_start[res.split] = self.sim.now
                     continue
-                retries[res.split] += 1
-                if session is not None:
-                    # policy-driven: the retry session owns the attempt
-                    # bound, the job-wide budget, and the backoff schedule
-                    op = f"s{stage.stage_id}t{res.split}"
-                    try:
-                        delay = session.record_failure(
-                            op, str(res.error), self.sim.now)
-                    except RetryBudgetExhaustedError as exc:
-                        raise TaskFailedError(
-                            f"task {res.split} of stage {stage.stage_id} "
-                            f"failed {retries[res.split]} times: {res.error}\n"
-                            + exc.describe(),
-                            op=exc.op, job=exc.job, stage=stage.stage_id,
-                            attempts=exc.attempts, budget=exc.budget)
-                    if delay > 0:
-                        not_before[res.split] = self.sim.now + delay
-                elif retries[res.split] > cfg.max_task_retries:
+                # the retry session owns the attempt bound, the job-wide
+                # budget, and the backoff schedule
+                op = f"s{stage.stage_id}t{res.split}"
+                try:
+                    delay = session.record_failure(
+                        op, str(res.error), self.sim.now)
+                except RetryBudgetExhaustedError as exc:
                     raise TaskFailedError(
                         f"task {res.split} of stage {stage.stage_id} failed "
-                        f"{retries[res.split]} times: {res.error}")
+                        f"{session.attempts_for(op)} times: {res.error}\n"
+                        + exc.describe(),
+                        op=exc.op, job=exc.job, stage=stage.stage_id,
+                        attempts=exc.attempts, budget=exc.budget)
+                if delay > 0:
+                    not_before[res.split] = self.sim.now + delay
                 pending.append(res.split)
                 wait_start[res.split] = self.sim.now
         finally:
@@ -851,6 +842,15 @@ class SimEngine:
                             per_partition),
             name=f"task:s{stage.stage_id}p{split}")
 
+    def _backup_node(self, attempt: _Attempt) -> Optional[str]:
+        """The node for a duplicate of ``attempt``: the live node, other
+        than its own, with the most free slots (ties by name)."""
+        candidates = [n for n, k in self._free_slots.items()
+                      if k > 0 and n != attempt.node
+                      and self.cluster.nodes[n].alive]
+        return min(candidates, key=lambda n: (-self._free_slots[n], n),
+                   default=None)
+
     def _maybe_speculate(self, stage: Stage, attempts, done_splits,
                          durations, metrics: JobMetrics, inbox: Store,
                          per_partition, n_total: int,
@@ -870,13 +870,10 @@ class SimEngine:
             a = live[0]
             if self.sim.now - a.started < threshold:
                 continue
-            candidates = [n for n, k in self._free_slots.items()
-                          if k > 0 and n != a.node
-                          and self.cluster.nodes[n].alive]
-            if not candidates:
+            node = self._backup_node(a)
+            if node is None:
                 continue
-            candidates.sort(key=lambda n: (-self._free_slots[n], n))
-            self._launch(stage, split, candidates[0], attempts, metrics,
+            self._launch(stage, split, node, attempts, metrics,
                          inbox, per_partition, speculative=True,
                          stage_span=stage_span)
 
@@ -905,21 +902,18 @@ class SimEngine:
             a = live[0]
             if self.sim.now - a.started < delay:
                 continue
-            candidates = [n for n, k in self._free_slots.items()
-                          if k > 0 and n != a.node
-                          and self.cluster.nodes[n].alive]
-            if not candidates:
+            node = self._backup_node(a)
+            if node is None:
                 continue
-            candidates.sort(key=lambda n: (-self._free_slots[n], n))
             reg = obs_metrics.get_registry()
             if reg is not None:
                 reg.counter("resilience.hedge.launched").inc()
             tr = obs_trace.get_tracer()
             if tr is not None:
                 tr.instant("resilience.hedge.launch", self.sim.now,
-                           lane=("engine", candidates[0]), cat="resilience",
+                           lane=("engine", node), cat="resilience",
                            stage_id=stage.stage_id, split=split, delay=delay)
-            self._launch(stage, split, candidates[0], attempts, metrics,
+            self._launch(stage, split, node, attempts, metrics,
                          inbox, per_partition, speculative=False,
                          stage_span=stage_span, hedged=True)
 

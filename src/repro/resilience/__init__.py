@@ -44,8 +44,11 @@ class ResiliencePolicies:
     Consumers read only the slots they understand: the dataflow engine
     uses ``retry`` / ``hedge`` / ``deadline_timeout``, the DFS uses
     ``retry`` / ``breaker_config``, streaming uses ``admission``, and
-    the autoscaler uses ``breaker_config``.  ``None`` everywhere is
-    byte-identical to the pre-policy behaviour.
+    the autoscaler uses ``breaker_config``.  A ``None`` retry slot means
+    the consumer's default :class:`RetryPolicy` (engine:
+    ``DEFAULT_TASK_RETRY``, 5 attempts per task; DFS repair:
+    ``RetryPolicy()``, 4 attempts); any other ``None`` slot turns that
+    mechanism off.
     """
 
     retry: Optional[RetryPolicy] = None

@@ -62,8 +62,8 @@ class RetryPolicy:
     ``max_attempts`` bounds failures *per operation* (a task, a repair);
     ``budget`` bounds total failures *per session* (a job) across all
     operations — ``None`` means unlimited.  With ``base_delay == 0`` the
-    policy degrades to immediate retries and consumes no randomness, so
-    it is schedule-identical to the pre-policy hard-coded loops.
+    policy degrades to immediate retries and consumes no randomness; the
+    engine and DFS defaults are such policies.
     """
 
     max_attempts: int = 4

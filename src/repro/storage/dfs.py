@@ -27,14 +27,15 @@ from ..common.errors import (
     ChecksumError,
     ConfigError,
     InsufficientReplicasError,
+    RetryBudgetExhaustedError,
 )
 from ..common.rng import RandomState, ensure_rng
 from ..common.units import MB
 from ..cluster.cluster import Cluster
-from ..common.errors import RetryBudgetExhaustedError
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
-from ..resilience import CircuitBreaker, ResiliencePolicies, run_hedged
+from ..resilience import (CircuitBreaker, ResiliencePolicies, RetryPolicy,
+                          RetrySession, run_hedged)
 from ..simcore.events import Event
 from ..simcore.kernel import Simulator
 from . import integrity
@@ -123,10 +124,11 @@ class DistributedFS:
         self._seals: Dict[Tuple[int, int], integrity.Seal] = {}
         self._block_data_len: Dict[int, int] = {}
         self.codec = RSCode(self.config.ec_k, self.config.ec_m)
-        # resilience policies (all optional; None = pre-policy behaviour):
-        # a per-node breaker steers reads and repair targets away from
-        # flaky nodes, the retry policy governs repair attempts/backoff,
-        # and the hedge policy races the two closest replicas on reads
+        # resilience policies (all optional): a per-node breaker steers
+        # reads and repair targets away from flaky nodes, the retry
+        # policy governs repair attempts/backoff (default RetryPolicy():
+        # 4 immediate attempts), and the hedge policy races the two
+        # closest replicas on reads
         self.policies = policies
         self.breaker: Optional[CircuitBreaker] = None
         if policies is not None and policies.breaker_config is not None:
@@ -779,26 +781,23 @@ class DistributedFS:
                 else:
                     yield from self._reconstruct_fragment(block, idx)
 
-    def _repair_session(self, block: BlockInfo, slot: int):
-        """Per-repair retry state under the configured policy, if any."""
-        if self._repair_retry is None:
-            return None
-        return self._repair_retry.session(
+    def _repair_session(self, block: BlockInfo, slot: int) -> RetrySession:
+        """Per-repair retry state under the configured (or default) policy."""
+        return (self._repair_retry or RetryPolicy()).session(
             key=f"repair:b{block.block_id}s{slot}", job="dfs-repair",
             stage=block.block_id)
 
-    def _repair_failed(self, session, op: str, reason: str) -> float:
+    def _repair_failed(self, session: RetrySession, op: str,
+                       reason: str) -> float:
         """Record one failed repair attempt; returns the backoff delay.
 
         Returns a negative value when the attempt bound is exhausted and
         the repair must be abandoned.  Repairs run in detached watcher
         processes, so exhaustion is recorded (counter + trace) rather
         than raised — the block stays under-protected and surfaces on
-        the next read, exactly like the pre-policy bounded loop.
+        the next read.
         """
         self.repairs_failed += 1
-        if session is None:
-            return 0.0
         try:
             return session.record_failure(op, reason, self.sim.now)
         except RetryBudgetExhaustedError:
@@ -815,14 +814,12 @@ class DistributedFS:
         # in flight.  Its fail event fired before ``block.locations`` named
         # it, so no repair watcher will ever re-protect this slot — commit
         # the new location only after re-checking the target is alive, and
-        # otherwise pick a fresh target.  Under a RetryPolicy the bound
-        # and backoff come from the policy; the default session matches
-        # the historical 4-attempt immediate-retry loop exactly.
+        # otherwise pick a fresh target.  The retry session bounds the
+        # target deaths and sets the backoff; a corrupt-source pass costs
+        # no attempt, but quarantines a piece, so the loop still ends.
         session = self._repair_session(block, slot)
         op = f"rereplicate:b{block.block_id}s{slot}"
-        attempt = 0
-        while attempt < 4 or session is not None:
-            attempt += 1
+        while True:
             live = self._live_replicas(block)
             live = [n for n in live if n != block.locations.get(slot)]
             if not live:
@@ -884,12 +881,10 @@ class DistributedFS:
         frag_size = self.codec.fragment_size(block.size)
         # same mid-repair target-death hazard as _rereplicate: commit only
         # after the target proves alive, otherwise retry with a new one
-        # (attempt bound and backoff from the policy when one is set)
+        # (attempt bound and backoff from the retry session)
         session = self._repair_session(block, slot)
         op = f"reconstruct:b{block.block_id}s{slot}"
-        attempt = 0
-        while attempt < 4 or session is not None:
-            attempt += 1
+        while True:
             live = {idx: n for idx, n in block.locations.items()
                     if self.cluster.nodes[n].alive and idx != slot}
             if len(live) < k:

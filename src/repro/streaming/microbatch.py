@@ -5,13 +5,16 @@ The Spark-Streaming execution model: records accumulate for
 job.  If processing keeps up, end-to-end latency ≈ interval/2 + processing
 time; when per-batch processing time exceeds the interval the system is
 unstable and backlog (and latency) grow without bound — the knee T7
-sweeps for.  Optional backpressure caps the ingest rate when the queue of
-unprocessed batches exceeds a threshold, trading throughput for bounded
-latency.
+sweeps for.  Optional token-bucket admission control
+(:class:`~repro.resilience.AdmissionConfig`) sheds or delays offered
+records at the source, trading throughput for bounded latency; without
+it the source admits every record.
 
 Counters are kept in a per-run :class:`~repro.obs.metrics.MetricsRegistry`
-(attached to the result) and satisfy record conservation at every point:
-``stream.records_in == stream.records_out + stream.records_inflight``.
+(attached to the result).  ``stream.records_in`` counts every offered
+record, so once the run drains record conservation is exact:
+``stream.records_in == stream.records_out + stream.records_inflight +
+stream.records_shed``.
 """
 
 from __future__ import annotations
@@ -41,19 +44,10 @@ class MicroBatchConfig:
     per_record_cost: float = 1e-4     # processing seconds per record (serial)
     parallelism: int = 4              # batch work divides over this many ways
     scheduling_overhead: float = 0.05  # fixed seconds per batch job
-    backpressure: bool = False
-    # deprecated lossy throttle: when the backlog exceeds the threshold,
-    # offered records beyond throttle_factor are *dropped*.  Prefer
-    # `admission` (exact shed accounting) or the credit-based pipeline in
-    # streaming.backpressure (no loss at all); engagements are counted in
-    # the `stream.legacy_throttle_engaged` counter
-    backlog_threshold: int = 2        # queued batches before throttling
-    throttle_factor: float = 0.5      # admitted fraction when throttling
     admission: Optional[AdmissionConfig] = None
-    # token-bucket admission control; takes precedence over the legacy
-    # backpressure throttling and makes overload produce a *stable*
-    # degraded result with exact drop accounting:
-    # records_in == records_out + records_inflight + records_shed
+    # token-bucket admission control: makes overload produce a *stable*
+    # degraded result with exact shed accounting (for lossless overload
+    # handling use the credit-based pipeline in streaming.backpressure)
     window: Optional[WindowSpec] = None
     # event-time path: when set, each batch carries an EventBatch and the
     # processor runs watermark-driven windowed aggregation; late drops
@@ -67,8 +61,6 @@ class MicroBatchConfig:
     def __post_init__(self) -> None:
         if self.batch_interval <= 0 or self.parallelism < 1:
             raise StreamingError("bad batch interval or parallelism")
-        if not (0 < self.throttle_factor <= 1):
-            raise StreamingError("throttle factor in (0, 1]")
         if self.window is not None and self.window.kind == "session":
             raise StreamingError(
                 "the micro-batch event-time path needs tumbling or "
@@ -88,7 +80,6 @@ class StreamingResult:
 
     latency: Summary
     processed_records: int
-    dropped_records: int
     duration: float
     max_backlog: int
     batch_times: List[float] = field(default_factory=list)
@@ -149,7 +140,6 @@ def run_microbatch(rate_fn: Callable[[float], float],
     reg = MetricsRegistry()
     records_in = reg.counter("stream.records_in")
     records_out = reg.counter("stream.records_out")
-    records_dropped = reg.counter("stream.records_dropped")
     records_shed = reg.counter("stream.records_shed")
     ctrl = (AdmissionController(config.admission)
             if config.admission is not None else None)
@@ -158,7 +148,6 @@ def run_microbatch(rate_fn: Callable[[float], float],
     max_backlog = reg.gauge("stream.max_backlog")
     batches = reg.counter("stream.batches")
     batch_seconds = reg.histogram("stream.batch_seconds", lo=1e-3, hi=1e4)
-    legacy_throttle = reg.counter("stream.legacy_throttle_engaged")
     windows_fired = reg.counter("stream.windows_fired")
     late_corrections = reg.counter("stream.late_corrections")
     late_dropped = reg.counter("stream.records_late_dropped")
@@ -195,66 +184,52 @@ def run_microbatch(rate_fn: Callable[[float], float],
             next_record_idx += n
             return eb
 
+        def admit(n: int):
+            # token-bucket admission of the interval's n offered records;
+            # returns how many were admitted, the rest are shed
+            admitted_total, remaining = 0, n
+            while remaining > 0:
+                admitted, shed, delay = ctrl.admit(
+                    sim.now, remaining, int(backlog.value))
+                admitted_total += admitted
+                remaining -= admitted + shed
+                if shed:
+                    records_shed.inc(shed)
+                    if tr is not None:
+                        tr.instant("admission_shed", sim.now,
+                                   lane=("stream", "source"),
+                                   cat="resilience", offered=n, shed=shed)
+                if delay > 0:
+                    yield sim.timeout(delay)   # delay-mode SLO: wait
+                else:
+                    break
+            return admitted_total
+
         while sim.now < duration:
             t0 = sim.now
             yield sim.timeout(config.batch_interval)
             n = rate_fn(t0) * config.batch_interval
             n = int(max(0, round(n)))
-            if ctrl is not None:
-                # token-bucket admission: records_in counts every record
-                # the source *offered*; shed records are accounted so
-                # conservation holds exactly (in == out + inflight + shed)
-                if n == 0:
-                    continue
-                mean_arrival = t0 + config.batch_interval / 2.0
-                records_in.inc(n)
-                admitted_total, remaining = 0, n
-                while remaining > 0:
-                    admitted, shed, delay = ctrl.admit(
-                        sim.now, remaining, int(backlog.value))
-                    admitted_total += admitted
-                    remaining -= admitted + shed
-                    if shed:
-                        records_shed.inc(shed)
-                        if tr is not None:
-                            tr.instant("admission_shed", sim.now,
-                                       lane=("stream", "source"),
-                                       cat="resilience", offered=n,
-                                       shed=shed)
-                    if delay > 0:
-                        yield sim.timeout(delay)   # delay-mode SLO: wait
-                    else:
-                        break
-                if admitted_total == 0:
-                    continue
-                inflight.inc(admitted_total)
-                backlog.inc()
-                if backlog.value > max_backlog.value:
-                    max_backlog.set(backlog.value)
-                yield queue.put((admitted_total, mean_arrival,
-                                 payload(t0, admitted_total)))
-                continue
-            if config.backpressure and \
-                    backlog.value >= config.backlog_threshold:
-                legacy_throttle.inc()
-                admitted = int(n * config.throttle_factor)
-                records_dropped.inc(n - admitted)
-                if tr is not None and n > admitted:
-                    tr.instant("throttle", sim.now, lane=("stream", "source"),
-                               cat="backpressure", offered=n, admitted=admitted)
-                n = admitted
             if n == 0:
-                # nothing arrived (idle source or fully throttled): an empty
-                # batch would still pay scheduling_overhead and inflate the
-                # backlog counters without processing a single record
+                # nothing arrived: an empty batch would still pay
+                # scheduling_overhead and inflate the backlog counters
+                # without processing a single record
                 continue
             mean_arrival = t0 + config.batch_interval / 2.0
+            # records_in counts every record the source *offered*; shed
+            # records are accounted so conservation holds exactly
+            # (in == out + inflight + shed)
             records_in.inc(n)
-            inflight.inc(n)
+            admitted = n
+            if ctrl is not None:
+                admitted = yield from admit(n)
+                if admitted == 0:
+                    continue   # fully shed: no batch to schedule
+            inflight.inc(admitted)
             backlog.inc()
             if backlog.value > max_backlog.value:
                 max_backlog.set(backlog.value)
-            yield queue.put((n, mean_arrival, payload(t0, n)))
+            yield queue.put((admitted, mean_arrival, payload(t0, admitted)))
         yield queue.put(None)   # sentinel
 
     def processor(sim: Simulator):
@@ -296,9 +271,8 @@ def run_microbatch(rate_fn: Callable[[float], float],
     sim.process(source(sim), name="stream-source")
     proc = sim.process(processor(sim), name="stream-proc")
     sim.run_until_done(proc)
-    return StreamingResult(latency, int(records_out.value),
-                           int(records_dropped.value),
-                           sim.now, int(max_backlog.value), batch_times,
+    return StreamingResult(latency, int(records_out.value), sim.now,
+                           int(max_backlog.value), batch_times,
                            shed_records=int(records_shed.value),
                            registry=reg,
                            windows_fired=int(windows_fired.value),

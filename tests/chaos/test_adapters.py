@@ -19,6 +19,7 @@ from repro.chaos import (
 from repro.chaos.adapters import sleep_until
 from repro.cluster import make_cluster
 from repro.dataflow import CostModel, DataflowContext, EngineConfig, SimEngine
+from repro.resilience import ResiliencePolicies, RetryPolicy
 from repro.simcore import Simulator
 from repro.storage.dfs import DFSConfig, DistributedFS
 
@@ -166,7 +167,8 @@ def _wordcount_env():
     sim = Simulator()
     cl = make_cluster(sim, n_racks=2, nodes_per_rack=4)
     ctx = DataflowContext(default_parallelism=8)
-    eng = SimEngine(cl, config=EngineConfig(max_task_retries=8),
+    retry = ResiliencePolicies(retry=RetryPolicy(max_attempts=9))
+    eng = SimEngine(cl, config=EngineConfig(resilience=retry),
                     cost_model=CostModel(cpu_per_record=2e-4))
     words = (["alpha", "beta", "gamma", "delta"] * 300)
     ds = ctx.parallelize(words, 8).map(lambda w: (w, 1)).reduce_by_key(add, 4)

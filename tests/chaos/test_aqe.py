@@ -21,6 +21,7 @@ from repro.dataflow import (
     ExecOptions,
     SimEngine,
 )
+from repro.resilience import ResiliencePolicies, RetryPolicy
 from repro.simcore import Simulator
 from repro.sql import DataFrame, col, count_, sum_
 from repro.sql.adaptive import AdaptiveConfig
@@ -68,7 +69,8 @@ def _run(query_fn, config, seed, fault_plan, columnar):
     cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)
     ctx = DataflowContext(default_parallelism=8, options=ExecOptions(
         columnar=columnar, adaptive=config))
-    engine = SimEngine(cluster, config=EngineConfig(max_task_retries=8),
+    retry = ResiliencePolicies(retry=RetryPolicy(max_attempts=9))
+    engine = SimEngine(cluster, config=EngineConfig(resilience=retry),
                        cost_model=CostModel(cpu_per_record=2e-4))
     q = query_fn(ctx, seed)
     ds = q.to_dataset()

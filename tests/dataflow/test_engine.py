@@ -152,9 +152,10 @@ class TestFaultTolerance:
         assert "victim" in fired
 
     def test_job_fails_after_retry_budget(self):
+        # default config: the job's retry session is DEFAULT_TASK_RETRY, so
+        # exhaustion is typed and carries the attempt history
         sim, cl, ctx, eng = make_env(
-            1, 1, config=EngineConfig(max_task_retries=1),
-            cost=CostModel(cpu_per_record=1e-3))
+            1, 1, cost=CostModel(cpu_per_record=1e-3))
         ds = ctx.range(5000, 2)
         ev = eng.collect(ds)
 
@@ -167,8 +168,37 @@ class TestFaultTolerance:
                 yield s.timeout(0.01)
                 node.recover()
         sim.process(chaos(sim))
-        with pytest.raises(TaskFailedError):
+        with pytest.raises(TaskFailedError) as ei:
             sim.run_until_done(ev)
+        exc = ei.value
+        assert exc.op is not None
+        assert exc.job.startswith("ds")
+        assert exc.attempts
+        assert any(a.op == exc.op for a in exc.attempts)
+
+    @pytest.mark.parametrize("crashes, fails", [(4, False), (5, True)])
+    def test_default_retry_bound_is_five_attempts(self, crashes, fails):
+        # DEFAULT_TASK_RETRY allows four retries per task: split 0 of the
+        # first stage crashing four times still succeeds, five times fails
+        sim, cl, ctx, eng = make_env()
+        left = [crashes]
+
+        def hook(stage, split, node):
+            if split == 0 and left[0] > 0:
+                left[0] -= 1
+                return True
+            return False
+        eng.fault_hook = hook
+        ds = ctx.range(400, 4).map(lambda x: x * 3)
+        ev = eng.collect(ds)
+        if fails:
+            with pytest.raises(TaskFailedError) as ei:
+                sim.run_until_done(ev)
+            assert len(ei.value.attempts) == 5
+        else:
+            res = sim.run_until_done(ev)
+            assert sorted(res.value) == [x * 3 for x in range(400)]
+            assert res.metrics.n_failed_attempts == 4
 
 
 class TestSpeculation:

@@ -54,7 +54,7 @@ class TestRetryBudget:
     def test_budget_exhaustion_is_typed_with_history(self):
         policies = ResiliencePolicies(
             retry=RetryPolicy(max_attempts=3, budget=10))
-        sim, _cl, ctx, eng = _env(policies, max_task_retries=100)
+        sim, _cl, ctx, eng = _env(policies)
         plan = FaultPlan.scripted(
             [FaultEvent(0.0, "task_crash", magnitude=500.0)])
         EngineChaos(eng, plan).start()

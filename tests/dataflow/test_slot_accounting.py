@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster import make_cluster
 from repro.dataflow import CostModel, DataflowContext, EngineConfig, SimEngine
+from repro.resilience import ResiliencePolicies, RetryPolicy
 from repro.simcore import Simulator
 
 BUSY = CostModel(cpu_per_record=2e-4)
@@ -61,7 +62,8 @@ class TestSlotConservation:
         sim = Simulator()
         cl = make_cluster(sim, 2, 4)
         ctx = DataflowContext(default_parallelism=8)
-        eng = SimEngine(cl, config=EngineConfig(max_task_retries=8),
+        retry = ResiliencePolicies(retry=RetryPolicy(max_attempts=9))
+        eng = SimEngine(cl, config=EngineConfig(resilience=retry),
                         cost_model=BUSY)
         ds = ctx.range(30_000, 16).map(lambda x: (x % 5, x)) \
                 .reduce_by_key(operator.add)

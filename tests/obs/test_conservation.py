@@ -12,6 +12,7 @@ import pytest
 from repro.cluster import make_cluster
 from repro.common.errors import InsufficientReplicasError
 from repro.common.units import MB
+from repro.resilience import AdmissionConfig
 from repro.simcore import Simulator
 from repro.storage import DFSConfig, DistributedFS
 from repro.streaming import (
@@ -29,15 +30,16 @@ class TestMicrobatchConservation:
         r_in = reg.value("stream.records_in")
         r_out = reg.value("stream.records_out")
         r_inflight = reg.value("stream.records_inflight")
-        # flow conservation: everything admitted was either processed or
-        # is still in flight — and after drain nothing is in flight
-        assert r_in == r_out + r_inflight
+        r_shed = reg.value("stream.records_shed")
+        # flow conservation: every offered record was processed, is
+        # still in flight, or was shed — and after drain nothing is in
+        # flight
+        assert r_in == r_out + r_inflight + r_shed
         assert r_inflight == 0
         assert reg.value("stream.backlog_batches") == 0
         # registry totals agree with the result's own fields
         assert int(r_out) == result.processed_records
-        assert int(reg.value("stream.records_dropped")) == \
-            result.dropped_records
+        assert int(r_shed) == result.shed_records
         assert int(reg.value("stream.batches")) == len(result.batch_times)
         assert int(reg.value("stream.max_backlog")) == result.max_backlog
         hist = reg.histogram("stream.batch_seconds")
@@ -50,18 +52,22 @@ class TestMicrobatchConservation:
         self.check(run_microbatch(lambda t: 2000, cfg, duration=60))
 
     def test_overloaded_run_with_backpressure(self):
+        # overload bounded by admission control at the source
         cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-4,
-                               parallelism=4, backpressure=True)
+                               parallelism=4,
+                               admission=AdmissionConfig(
+                                   rate=30_000, burst=30_000, max_backlog=2))
         r = run_microbatch(lambda t: 50_000, cfg, duration=60)
-        assert r.dropped_records > 0
+        assert r.shed_records > 0
         self.check(r)
 
     def test_latency_weighted_per_record(self):
         # the latency summary carries one observation per record — a
         # 1-record trickle batch must not weigh like a 10k-record one
         cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-3,
-                               parallelism=1, backpressure=True,
-                               backlog_threshold=1, throttle_factor=0.5)
+                               parallelism=1,
+                               admission=AdmissionConfig(
+                                   rate=10_000, burst=10_000, max_backlog=1))
         r = run_microbatch(lambda t: 10_000 if t < 5 else 1, cfg, duration=40)
         assert r.latency.count == r.processed_records
         self.check(r)

@@ -24,6 +24,7 @@ from repro.dataflow import (
     SimEngine,
 )
 from repro.obs import trace_to
+from repro.resilience import ResiliencePolicies, RetryPolicy
 from repro.simcore import Simulator
 from repro.sql import DataFrame, col, count_, sum_
 
@@ -44,7 +45,8 @@ def run_chaos_wordcount(seed, plan=None):
     sim = Simulator()
     cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)
     ctx = DataflowContext(default_parallelism=8)
-    engine = SimEngine(cluster, config=EngineConfig(max_task_retries=8),
+    retry = ResiliencePolicies(retry=RetryPolicy(max_attempts=9))
+    engine = SimEngine(cluster, config=EngineConfig(resilience=retry),
                        cost_model=CostModel(cpu_per_record=2e-4))
     rng = np.random.default_rng([seed, 101])
     vocab = [f"w{i:03d}" for i in range(40)]

@@ -57,8 +57,7 @@ class TestEndToEndSeedStability:
         policies = ResiliencePolicies(
             retry=RetryPolicy(max_attempts=20, base_delay=0.005, seed=seed))
         engine = SimEngine(cluster,
-                           config=EngineConfig(max_task_retries=20,
-                                               resilience=policies),
+                           config=EngineConfig(resilience=policies),
                            cost_model=CostModel(cpu_per_record=2e-4))
         words = ["a", "b", "c", "d"] * 600
         ds = (ctx.parallelize(words, 8).map(lambda w: (w, 1))

@@ -117,6 +117,19 @@ class TestRepairPolicy:
         assert dfs.repairs_abandoned == 1
         assert dfs.repairs_failed == 1
 
+    def test_default_repair_abandonment_is_counted(self):
+        # no policy: the default RetryPolicy() allows four immediate
+        # attempts, and giving up on the fourth is counted, not silent
+        sim, _cl, dfs = _fs(None)
+        block = type("B", (), {"block_id": 0})()
+        session = dfs._repair_session(block, 0)
+        delays = [dfs._repair_failed(session, "rereplicate:b0s0",
+                                     "target_lost") for _ in range(4)]
+        assert delays[:3] == [0.0, 0.0, 0.0]
+        assert delays[3] < 0
+        assert dfs.repairs_abandoned == 1
+        assert dfs.repairs_failed == 4
+
     def test_repair_backoff_delay_flows_through(self):
         policies = ResiliencePolicies(
             retry=RetryPolicy(max_attempts=5, base_delay=2.0, jitter="none"))

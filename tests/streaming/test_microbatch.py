@@ -1,8 +1,9 @@
-"""Micro-batch engine: stability knee, latency model, backpressure."""
+"""Micro-batch engine: stability knee, latency model, admission control."""
 
 import pytest
 
 from repro.common.errors import StreamingError
+from repro.resilience import AdmissionConfig
 from repro.streaming import MicroBatchConfig, run_microbatch
 
 
@@ -15,8 +16,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(StreamingError):
             MicroBatchConfig(batch_interval=0)
-        with pytest.raises(StreamingError):
-            MicroBatchConfig(throttle_factor=0)
 
 
 class TestStableRegime:
@@ -61,22 +60,30 @@ class TestUnstableRegime:
 
 
 class TestBackpressure:
+    """Overload is bounded by token-bucket admission at the source."""
+
+    # capacity is (1 - 0.05) * 4 / 1e-4 = 38k rec/s; admit 30k of it
+    ADMISSION = AdmissionConfig(rate=30_000, burst=30_000, max_backlog=2)
+
     def test_bounds_latency_by_shedding(self):
         over = 50_000
         base = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-4,
                                 parallelism=4)
-        bp = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-4,
-                              parallelism=4, backpressure=True)
+        adm = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-4,
+                               parallelism=4, admission=self.ADMISSION)
         r_no = run_microbatch(lambda t: over, base, 120)
-        r_bp = run_microbatch(lambda t: over, bp, 120)
-        assert r_bp.latency.p95 < r_no.latency.p95 / 3
-        assert r_bp.dropped_records > 0
+        r_adm = run_microbatch(lambda t: over, adm, 120)
+        assert r_adm.latency.p95 < r_no.latency.p95 / 3
+        assert r_adm.shed_records > 0
+        assert r_no.shed_records == 0
 
     def test_no_shedding_when_stable(self):
         cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-5,
-                               parallelism=4, backpressure=True)
+                               parallelism=4, admission=self.ADMISSION)
         r = run_microbatch(lambda t: 1000, cfg, 60)
-        assert r.dropped_records == 0
+        assert r.stable
+        assert r.shed_records == 0
+        assert r.processed_records == 1000 * 60
 
     def test_time_varying_rate(self):
         cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-5,
@@ -97,16 +104,19 @@ class TestEmptyBatches:
         assert r.batch_times == []
 
     def test_fully_throttled_interval_skips_batch(self):
-        # burst builds a backlog, then a trickle (1 rec/s) is fully
-        # throttled away (int(1 * 0.5) == 0): those intervals must not
-        # enqueue empty batches that pay scheduling_overhead and inflate
-        # the backlog
+        # burst builds a backlog, then a trickle (1 rec/s) is fully shed
+        # by admission while the 10 s burst batch is still queued: those
+        # intervals must not enqueue empty batches that pay
+        # scheduling_overhead and inflate the backlog
         cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-3,
-                               parallelism=1, backpressure=True,
-                               backlog_threshold=1, throttle_factor=0.5)
+                               parallelism=1,
+                               admission=AdmissionConfig(
+                                   rate=10_000, burst=10_000, max_backlog=1))
         r = run_microbatch(lambda t: 10_000 if t < 5 else 1, cfg,
                            duration=40)
-        assert r.dropped_records > 0
+        assert r.shed_records > 0
+        # every interval offered records, yet fully shed ones ran no batch
+        assert len(r.batch_times) < 40
         # every scheduled batch carried records: none costs bare overhead
         assert r.batch_times
         assert min(r.batch_times) > cfg.scheduling_overhead
@@ -127,7 +137,6 @@ class TestAdmissionControl:
     """Token-bucket admission: stable degraded overload, exact accounting."""
 
     def _overload(self, mode="shed", duration=30.0):
-        from repro.resilience import AdmissionConfig
         adm = AdmissionConfig(rate=800.0, burst=1200.0, max_backlog=4,
                               mode=mode)
         cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=2e-3,
@@ -178,44 +187,12 @@ class TestAdmissionControl:
             "stream.records_out")
 
     def test_underload_sheds_nothing(self):
-        from repro.resilience import AdmissionConfig
         adm = AdmissionConfig(rate=2000.0, burst=4000.0, max_backlog=8)
         cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-5,
                                parallelism=2, admission=adm)
         r = run_microbatch(lambda t: 500, cfg, duration=20)
         assert r.shed_records == 0
         assert r.processed_records == 500 * 20
-
-
-class TestLegacyThrottleDeprecation:
-    """Satellite: admission takes precedence over the legacy throttle,
-    and every legacy engagement is visible in an obs counter."""
-
-    def test_legacy_throttle_engagement_counted(self):
-        cfg = MicroBatchConfig(batch_interval=0.5, per_record_cost=2e-3,
-                               parallelism=1, backpressure=True)
-        r = run_microbatch(lambda t: 3000.0, cfg, duration=20)
-        assert r.dropped_records > 0
-        assert r.registry.value("stream.legacy_throttle_engaged") > 0
-
-    def test_admission_takes_precedence_over_legacy_throttle(self):
-        from repro.resilience import AdmissionConfig
-        # both knobs armed: admission must win — exact shed accounting,
-        # zero lossy throttle drops, and the legacy counter never ticks
-        cfg = MicroBatchConfig(batch_interval=0.5, per_record_cost=2e-3,
-                               parallelism=1, backpressure=True,
-                               admission=AdmissionConfig(
-                                   rate=500.0, burst=500.0, max_backlog=4))
-        r = run_microbatch(lambda t: 3000.0, cfg, duration=20)
-        assert r.shed_records > 0
-        assert r.dropped_records == 0
-        assert r.registry.value("stream.legacy_throttle_engaged") == 0
-
-    def test_legacy_counter_idle_when_stable(self):
-        cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-5,
-                               parallelism=2, backpressure=True)
-        r = run_microbatch(lambda t: 500, cfg, duration=20)
-        assert r.registry.value("stream.legacy_throttle_engaged") == 0
 
 
 class TestEventTimeWindowing:
