@@ -8,12 +8,16 @@ idealization of per-flow fair queueing / long-lived TCP).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Mapping, Sequence, Set, Tuple
 
 __all__ = ["FlowSpec", "allocate_rates"]
 
-LinkKey = FrozenSet[str]
+_INF = float("inf")
+
+#: Anything hashable names a link: :class:`~repro.net.netsim.NetworkSim`
+#: passes interned integer ids, tests pass ``frozenset`` endpoint pairs.
+LinkKey = Hashable
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,7 @@ class FlowSpec:
 
     flow_id: Hashable
     links: Tuple[LinkKey, ...]
-    limit: float = float("inf")
+    limit: float = _INF
     weight: float = 1.0
 
 
@@ -48,6 +52,10 @@ def allocate_rates(
       least one saturated link;
     * max-min optimality — no flow's rate can rise without lowering that
       of a flow with an equal-or-smaller rate.
+
+    Each link's member weight total is kept across rounds and re-summed
+    only when the link loses members, over the same set in the same
+    order, so every float operation matches a full re-sum per round.
     """
     rates: Dict[Hashable, float] = {}
     active: Set[int] = set()
@@ -61,49 +69,59 @@ def allocate_rates(
         active.add(idx)
         for lk in f.links:
             if lk not in capacities:
-                raise KeyError(f"flow {f.flow_id!r} crosses unknown link {set(lk)}")
+                raise KeyError(f"flow {f.flow_id!r} crosses unknown link {lk!r}")
             flows_on_link.setdefault(lk, set()).add(idx)
 
+    weight = [f.weight for f in flows]
     remaining = {lk: float(capacities[lk]) for lk in flows_on_link}
-    level: Dict[int, float] = {i: 0.0 for i in active}
+    total_w = {lk: sum(weight[i] for i in members)
+               for lk, members in flows_on_link.items()}
+    level = [0.0] * len(flows)
+    capped = [i for i in active if flows[i].limit != _INF]
 
     while active:
         # Tightest link bounds the per-unit-weight growth of active flows.
-        grow = float("inf")
-        for lk, members in flows_on_link.items():
-            total_w = sum(flows[i].weight for i in members)
-            if total_w > 0:
-                grow = min(grow, remaining[lk] / total_w)
-        # Limited flows may stop growing before any link saturates.
+        grow = _INF
+        for lk, tw in total_w.items():
+            if tw > 0:
+                grow = min(grow, remaining[lk] / tw)
+        # Rate-capped flows may stop growing before any link saturates.
         limited = [
-            i for i in active
-            if (flows[i].limit - level[i]) / flows[i].weight <= grow + 1e-15
+            i for i in capped
+            if (flows[i].limit - level[i]) / weight[i] <= grow + 1e-15
         ]
         if limited:
-            grow = max(0.0, min((flows[i].limit - level[i]) / flows[i].weight
+            grow = max(0.0, min((flows[i].limit - level[i]) / weight[i]
                                 for i in limited))
 
         if grow > 0:
             for i in active:
-                level[i] += grow * flows[i].weight
-            for lk, members in flows_on_link.items():
-                used = grow * sum(flows[i].weight for i in members)
-                remaining[lk] -= used
+                level[i] += grow * weight[i]
+            for lk, tw in total_w.items():
+                remaining[lk] -= grow * tw
                 if remaining[lk] < 0:
                     remaining[lk] = 0.0
 
         frozen: Set[int] = set(limited)
         for lk, members in flows_on_link.items():
-            if members and remaining[lk] <= 1e-12:
+            if remaining[lk] <= 1e-12:
                 frozen |= members
         if not frozen:
             # numerical stall: freeze everything at current level
             frozen = set(active)
+        shrunk: Set[LinkKey] = set()
         for i in frozen:
             rates[flows[i].flow_id] = min(level[i], flows[i].limit)
             for lk in flows[i].links:
                 flows_on_link[lk].discard(i)
+                shrunk.add(lk)
         active -= frozen
-        flows_on_link = {lk: m for lk, m in flows_on_link.items() if m}
+        capped = [i for i in capped if i not in frozen]
+        for lk in shrunk:
+            members = flows_on_link[lk]
+            if members:
+                total_w[lk] = sum(weight[i] for i in members)
+            else:
+                del flows_on_link[lk], total_w[lk]
 
     return rates

@@ -2,24 +2,29 @@
 
 :class:`NetworkSim` marries the topology/routing layer with the max-min
 rate allocator and the DES kernel: every active transfer is a fluid flow;
-whenever a flow starts or finishes, rates are recomputed globally and the
+whenever flows start or finish, rates are recomputed globally and the
 next completion is rescheduled.  This is the standard flow-level model
 used by datacenter-network simulators — accurate for transfers that are
 large relative to RTT (shuffles, block writes, VM migrations), which is
 exactly what the experiments here measure.
+
+Links are interned to integer ids and each flow's ``FlowSpec`` is built
+once; flows starting at one instant share one solve (a *start wave*);
+one ``net-waker`` timer is moved, not respawned, when rates change.
+None of this changes a simulated float (``tests/net/test_netsim_pinned.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional
 
 from ..common.errors import NetworkError
 from ..common.units import Gbit_per_s
 from ..simcore.events import Event
-from ..simcore.kernel import Simulator
-from .flows import FlowSpec, allocate_rates
+from ..simcore.kernel import Process, Simulator
+from .flows import FlowSpec, LinkKey, allocate_rates
 from .topology import Link, Topology
 
 __all__ = ["NetworkSim", "TransferStats"]
@@ -49,22 +54,18 @@ class TransferStats:
 
 
 class _Flow:
-    __slots__ = ("fid", "src", "dst", "nbytes", "remaining", "links",
-                 "limit", "event", "start", "weight")
+    __slots__ = ("spec", "src", "dst", "nbytes", "remaining", "event",
+                 "start")
 
-    def __init__(self, fid: int, src: str, dst: str, nbytes: float,
-                 links: List[Link], limit: float, event: Event,
-                 start: float, weight: float = 1.0) -> None:
-        self.fid = fid
+    def __init__(self, spec: FlowSpec, src: str, dst: str, nbytes: float,
+                 event: Event, start: float) -> None:
+        self.spec = spec
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
         self.remaining = float(nbytes)
-        self.links = links
-        self.limit = limit
         self.event = event
         self.start = start
-        self.weight = weight
 
 
 class NetworkSim:
@@ -85,9 +86,15 @@ class NetworkSim:
         self._next_fid = 0
         self._last_t = sim.now
         self._rates: Dict[int, float] = {}
-        self._timer_gen = 0
-        #: cumulative bytes carried per link key
-        self.link_bytes: Dict = {}
+        # interned links: key -> id (ids count up from 0), id -> capacity
+        self._link_ids: Dict[LinkKey, int] = {}
+        self._caps: Dict[int, float] = {}
+        # cumulative bytes per link id, in the order links first carried any
+        self._carried: Dict[int, float] = {}
+        # start time -> flows of the start wave landing then
+        self._waves: Dict[float, List[_Flow]] = {}
+        self._wake: Optional[Event] = None
+        self._waker: Optional[Process] = None
         #: cumulative bytes moved over the network (excludes local copies)
         self.total_bytes = 0.0
         #: number of transfers started
@@ -108,6 +115,8 @@ class NetworkSim:
         """
         if weight <= 0:
             raise NetworkError("transfer weight must be positive")
+        if limit <= 0:
+            raise NetworkError("transfer limit must be positive")
         if nbytes < 0:
             raise NetworkError(f"negative transfer size {nbytes}")
         self.n_transfers += 1
@@ -124,15 +133,18 @@ class NetworkSim:
         if nbytes == 0:
             self._complete_later(ev, src, dst, 0, start, latency)
             return ev
-        # charge path latency up-front, then register the fluid flow
-        def _starter(sim: Simulator):
-            yield sim.timeout(latency)
-            flow = _Flow(fid, src, dst, nbytes, path, limit, ev, start,
-                         weight)
-            self._flows[fid] = flow
-            self.total_bytes += nbytes
-            self._reallocate()
-        self.sim.process(_starter(self.sim), name=f"xfer{fid}")
+        spec = FlowSpec(fid, tuple(self._intern(l) for l in path), limit,
+                        weight)
+        flow = _Flow(spec, src, dst, nbytes, ev, start)
+        # charge path latency up-front; flows landing at one instant join
+        # one start wave (the timeout below fires at exactly ``start + latency``)
+        at = start + latency
+        wave = self._waves.get(at)
+        if wave is not None:
+            wave.append(flow)
+        else:
+            self._waves[at] = [flow]
+            self.sim.process(self._start_wave(at, latency), name=f"xfer{fid}")
         return ev
 
     @property
@@ -140,76 +152,86 @@ class NetworkSim:
         """Number of flows currently moving bytes."""
         return len(self._flows)
 
-    def current_rate(self, ev_or_fid) -> Optional[float]:
-        """Instantaneous rate of a flow id (testing/inspection hook)."""
-        return self._rates.get(ev_or_fid)
+    @property
+    def link_bytes(self) -> Dict[LinkKey, float]:
+        """Cumulative bytes carried per link key (``Link.key``)."""
+        keys = list(self._link_ids)
+        return {keys[lid]: carried for lid, carried in self._carried.items()}
+
+    def current_rate(self, fid: int) -> Optional[float]:
+        """Instantaneous rate of flow ``fid`` (testing/inspection hook)."""
+        return self._rates.get(fid)
 
     # -- engine --------------------------------------------------------------
+
+    def _intern(self, link: Link) -> int:
+        lid = self._link_ids.setdefault(link.key, len(self._link_ids))
+        self._caps[lid] = link.capacity
+        return lid
 
     def _complete_later(self, ev: Event, src: str, dst: str, nbytes: float,
                         start: float, dur: float) -> None:
         def _finisher(sim: Simulator):
-            if dur > 0:
-                yield sim.timeout(dur)
-            else:
-                yield sim.timeout(0.0)
+            yield sim.timeout(dur)
             ev.succeed(TransferStats(src, dst, int(nbytes), start, sim.now))
         self.sim.process(_finisher(self.sim), name="xfer-local")
+
+    def _start_wave(self, at: float, latency: float):
+        yield self.sim.timeout(latency)
+        for flow in self._waves.pop(at):
+            self._flows[flow.spec.flow_id] = flow
+            self.total_bytes += flow.nbytes
+        self._reallocate()
 
     def _advance_progress(self) -> None:
         now = self.sim.now
         dt = now - self._last_t
         if dt > 0:
+            rates, carried = self._rates, self._carried
             for fid, flow in self._flows.items():
-                rate = self._rates.get(fid, 0.0)
-                moved = rate * dt
+                moved = rates.get(fid, 0.0) * dt
                 flow.remaining -= moved
-                for link in flow.links:
-                    self.link_bytes[link.key] = (
-                        self.link_bytes.get(link.key, 0.0) + moved)
+                for lid in flow.spec.links:
+                    carried[lid] = carried.get(lid, 0.0) + moved
         self._last_t = now
 
     def _reallocate(self) -> None:
         """Advance progress, complete finished flows, recompute rates."""
         self._advance_progress()
-        # complete flows that drained
         done = [f for f in self._flows.values() if f.remaining <= _EPS_BYTES]
         for flow in done:
-            del self._flows[flow.fid]
-            self._rates.pop(flow.fid, None)
+            del self._flows[flow.spec.flow_id]
             flow.event.succeed(TransferStats(
                 flow.src, flow.dst, int(flow.nbytes), flow.start, self.sim.now))
-        if done:
-            # completions can cascade new transfers synchronously; rates are
-            # recomputed below for whatever set remains right now.
-            pass
         if not self._flows:
             self._rates = {}
             return
-        specs = [
-            FlowSpec(fid, tuple(l.key for l in f.links), f.limit, f.weight)
-            for fid, f in self._flows.items()
-        ]
-        caps = {l.key: l.capacity for f in self._flows.values() for l in f.links}
-        self._rates = allocate_rates(specs, caps)
+        self._rates = allocate_rates(
+            [f.spec for f in self._flows.values()], self._caps)
         self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:
-        next_dt = float("inf")
+        next_dt = math.inf
         for fid, flow in self._flows.items():
-            rate = self._rates.get(fid, 0.0)
+            rate = self._rates[fid]
             if rate > 0:
                 next_dt = min(next_dt, flow.remaining / rate)
-        if next_dt is float("inf"):
+        if math.isinf(next_dt):
             raise NetworkError("active flows exist but none can make progress")
         # Clamp up to a representable step so residual sub-ulp transfer
         # times cannot stall the clock (see FluidResource._reschedule).
         next_dt = max(next_dt, 4.0 * math.ulp(max(abs(self.sim.now), 1.0)))
-        self._timer_gen += 1
-        gen = self._timer_gen
+        if self._wake is not None:
+            self.sim.reschedule(self._wake, next_dt)
+            return
+        self._wake = self.sim.timeout(next_dt)
+        if self._waker is None or not self._waker.is_alive:
+            self._waker = self.sim.process(self._wake_loop(), name="net-waker")
 
-        def _waker(sim: Simulator):
-            yield sim.timeout(max(next_dt, 0.0))
-            if gen == self._timer_gen:
-                self._reallocate()
-        self.sim.process(_waker(self.sim), name="net-waker")
+    def _wake_loop(self):
+        """The waker: sleeps until the next completion, re-armed by every
+        solve; ends when a wake-up leaves no flow to wait for."""
+        while self._wake is not None:
+            yield self._wake
+            self._wake = None
+            self._reallocate()

@@ -14,8 +14,9 @@ is reproducible run-to-run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List
 
 from ..common.errors import RoutingError
 from ..common.units import Gbit_per_s, us
@@ -52,9 +53,9 @@ class Link:
         if self.latency < 0:
             raise ValueError("link latency must be nonnegative")
 
-    @property
+    @cached_property
     def key(self) -> LinkKey:
-        """Canonical dictionary key for this link."""
+        """Canonical dictionary key for this link (built on first use)."""
         return _lk(self.u, self.v)
 
 
@@ -170,10 +171,6 @@ class Topology:
         if src not in dist:
             raise RoutingError(f"no route from {src} to {dst}")
         return dist[src]
-
-    def bisection_links(self) -> int:
-        """Crude connectivity metric: number of links (for reporting)."""
-        return len(self.links)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Topology {self.name}: {len(self.hosts)} hosts, "

@@ -203,6 +203,15 @@ class Simulator:
         self._seq += 1
         self._queue.push(event, (self.now + delay, priority, self._seq))
 
+    def reschedule(self, event: Event, delay: float) -> None:
+        """Move a queued event to fire ``delay`` seconds from now, ordered
+        as if scheduled just now (re-arms a timer instead of leaving a
+        superseded one to fire for nothing)."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        self._seq += 1
+        self._queue.update(event, (self.now + delay, NORMAL, self._seq))
+
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""
         if not self._queue:

@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.net.netsim as netsim
+from repro.common.errors import NetworkError
 from repro.common.units import Gbit_per_s, MB
 from repro.net import NetworkSim, dumbbell, fat_tree, star
-from repro.simcore import Simulator
+from repro.simcore import Process, Simulator
 
 
 def make(topo):
@@ -35,6 +37,25 @@ class TestSingleFlows:
         sim, net = make(star(2))
         with pytest.raises(Exception):
             net.transfer("h0", "h1", -1)
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0])
+    @pytest.mark.parametrize("dst", ["h1", "h0"])
+    def test_nonpositive_limit_rejected(self, limit, dst):
+        # a flow capped at rate 0 could never drain, and a local copy
+        # would divide by its limit
+        sim, net = make(star(2))
+        with pytest.raises(NetworkError):
+            net.transfer("h0", dst, MB(1), limit=limit)
+
+    def test_flows_without_progress_raise(self, monkeypatch):
+        monkeypatch.setattr(netsim, "allocate_rates",
+                            lambda specs, caps: {s.flow_id: 0.0
+                                                 for s in specs})
+        sim, net = make(star(2))
+        net.transfer("h0", "h1", MB(1))
+        with pytest.raises(NetworkError, match="none can make progress"):
+            sim.run()
+        assert sim.now < 1.0
 
     def test_rate_limit(self):
         sim, net = make(dumbbell(1, 1, bottleneck_bw=Gbit_per_s(10)))
@@ -117,3 +138,61 @@ class TestAccounting:
         sim.run()
         assert all(e.triggered and e.ok for e in evs)
         assert net.active_flows == 0
+
+
+class WakerDispatches:
+    """Kernel observer counting dispatches that resume the net waker."""
+
+    def __init__(self):
+        self.count = 0
+
+    def on_event(self, sim, event, t):
+        for cb in event.callbacks or ():
+            owner = getattr(cb, "__self__", None)
+            if isinstance(owner, Process) and owner.name == "net-waker":
+                self.count += 1
+
+
+class TestStartWavesAndWaker:
+    def test_flows_starting_together_share_one_solve(self, monkeypatch):
+        solves = []
+        real = netsim.allocate_rates
+
+        def counted(specs, caps):
+            solves.append(len(specs))
+            return real(specs, caps)
+        monkeypatch.setattr(netsim, "allocate_rates", counted)
+        sim, net = make(star(8, host_bw=Gbit_per_s(1)))
+        # four disjoint two-hop flows of one size: one start wave, and
+        # they all drain at one instant, which needs no further solve
+        evs = [net.transfer(f"h{2 * i}", f"h{2 * i + 1}", MB(125))
+               for i in range(4)]
+        sim.run()
+        assert solves == [4]
+        assert len({e.value.end for e in evs}) == 1
+
+    def test_one_waker_is_moved_not_respawned(self):
+        sim, net = make(dumbbell(2, 2, bottleneck_bw=Gbit_per_s(1)))
+        dispatches = WakerDispatches()
+        sim.attach_observer(dispatches)
+        e1 = net.transfer("l0", "r0", MB(125))
+
+        def later(sim):
+            yield sim.timeout(0.5)
+            net.transfer("l1", "r1", MB(125))
+        sim.process(later(sim))
+        sim.run()
+        # the waker's start plus one wake-up per completion; the wake-up
+        # armed for flow A alone (t=1.0) moved when flow B started
+        assert dispatches.count == 3
+        assert e1.value.end == pytest.approx(1.5, rel=1e-3)
+
+    def test_link_bytes_keyed_by_link_key(self):
+        sim, net = make(star(3))
+        net.transfer("h0", "h1", 1000)
+        net.transfer("h2", "h1", 500)
+        sim.run()
+        assert set(net.link_bytes) == {net.topo.link(h, "core").key
+                                       for h in ("h0", "h1", "h2")}
+        assert net.link_bytes[net.topo.link("h1", "core").key] \
+            == pytest.approx(1500)

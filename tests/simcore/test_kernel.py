@@ -311,3 +311,33 @@ def test_empty_condition_fires_immediately():
     proc = sim.process(p(sim))
     sim.run()
     assert proc.value == {}
+
+
+def test_reschedule_moves_a_pending_timeout():
+    sim = Simulator()
+    log = []
+    wake = sim.timeout(5.0)
+
+    def sleeper(sim):
+        yield wake
+        log.append(("woke", sim.now))
+
+    def other(sim, name):
+        yield sim.timeout(2.0)
+        log.append((name, sim.now))
+
+    sim.process(sleeper(sim))
+    sim.process(other(sim, "before"))
+    sim.run(until=1.0)
+    # 5.0 -> 2.0, ordered after "before" as if scheduled at 1.0
+    sim.reschedule(wake, 1.0)
+    sim.process(other(sim, "after"))
+    sim.run()
+    assert log == [("before", 2.0), ("woke", 2.0), ("after", 3.0)]
+
+
+def test_reschedule_rejects_negative_delay():
+    sim = Simulator()
+    wake = sim.timeout(1.0)
+    with pytest.raises(SimulationError):
+        sim.reschedule(wake, -1.0)
