@@ -114,6 +114,7 @@ class JobMetrics:
     # fused pipeline across all stages (0 when fusion is disabled)
     pool_prefetched: int = 0           # partitions precomputed on the
     # process pool before simulated placement (pool backend only)
+    pool_prefetch_fallbacks: int = 0   # failed prefetches, computed inline
     task_durations: List[float] = field(default_factory=list)
 
     @property
@@ -552,8 +553,10 @@ class SimEngine:
 
         Results are stashed for :meth:`_task_proc` to pop at its compute
         site, so the simulated schedule and accounting are unchanged.
-        Any prefetch failure falls back silently to inline compute —
-        error surfacing stays identical to the in-process path.
+        A prefetch that raises falls back to inline compute, so error
+        surfacing stays identical to the in-process path; each fallback
+        is counted in ``metrics.pool_prefetch_fallbacks`` and the
+        ``engine.pool_prefetch_fallbacks`` registry counter.
         """
         ctx = stage.dataset.ctx
         if not self.config.pool_prefetch \
@@ -565,14 +568,17 @@ class SimEngine:
                    if (ds.dataset_id, s) not in self._prefetched]
         if not missing or not self._pool_pure_dataset(ds):
             return
+        reg = obs_metrics.get_registry()
         try:
             parts = ctx.pooled_executor.compute_partitions(ds, missing)
         except Exception:
+            metrics.pool_prefetch_fallbacks += 1
+            if reg is not None:
+                reg.counter("engine.pool_prefetch_fallbacks").inc()
             return
         for s, records in parts.items():
             self._prefetched[(ds.dataset_id, s)] = records
         metrics.pool_prefetched += len(parts)
-        reg = obs_metrics.get_registry()
         if reg is not None:
             reg.counter("engine.pool_prefetched").inc(len(parts))
 

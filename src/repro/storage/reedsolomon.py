@@ -12,7 +12,7 @@ Supports ``k + m <= 256``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class RSCode:
         self._parity = _cauchy_parity(k, m) if m else np.zeros((0, k), np.uint8)
         self._matrix = np.concatenate(
             [np.eye(k, dtype=np.uint8), self._parity], axis=0)
+        self._inverses: Dict[Tuple[int, ...], np.ndarray] = {}
 
     @property
     def storage_overhead(self) -> float:
@@ -88,43 +89,65 @@ class RSCode:
     def decode(self, fragments: Dict[int, bytes], orig_len: int) -> bytes:
         """Rebuild the original block from any ``k`` fragments.
 
-        ``fragments`` maps fragment index → bytes.  Raises
-        :class:`InsufficientReplicasError` with fewer than ``k`` fragments.
+        ``fragments`` maps fragment index (in ``[0, n)``) → bytes and the
+        ``k`` lowest are used: surviving data shards are copied verbatim
+        and only the lost data rows are computed, ``inv(sub)[lost] · rows``.
+        Raises :class:`InsufficientReplicasError` with fewer than ``k``.
         """
+        self._check_indices(fragments)
         if orig_len == 0:
             return b""
-        if len(fragments) < self.k:
-            raise InsufficientReplicasError(
-                f"need {self.k} fragments, have {len(fragments)}")
-        idxs = sorted(fragments)[: self.k]
-        frag = self.fragment_size(orig_len)
-        rows = np.stack([
-            np.frombuffer(fragments[i], dtype=np.uint8) for i in idxs])
-        if rows.shape[1] != frag:
-            raise ValueError(
-                f"fragment size {rows.shape[1]} != expected {frag}")
-        if all(i < self.k for i in idxs) and idxs == list(range(self.k)):
-            data = rows.reshape(-1)
-        else:
-            sub = self._matrix[idxs]           # k×k, invertible by Cauchy
-            inv = gf_mat_inv(sub)
-            data = gf_matmul(inv, rows).reshape(-1)
-        return data.tobytes()[:orig_len]
+        idxs, rows = self._survivors(fragments, self.fragment_size(orig_len))
+        lost = [i for i in range(self.k) if i not in idxs]
+        if lost:
+            present = idxs[: self.k - len(lost)]   # sorted: data come first
+            data = np.empty_like(rows)
+            data[present] = rows[: len(present)]
+            data[lost] = gf_matmul(self._inverse(idxs)[lost], rows)
+            rows = data
+        return rows.tobytes()[:orig_len]
 
     def reconstruct_fragment(self, fragments: Dict[int, bytes],
                              missing: int, orig_len: int) -> bytes:
         """Rebuild a single lost fragment from any ``k`` survivors.
 
-        This is the repair path: decode to data shards, re-encode the one
-        missing row.  Network cost (k fragment reads) is charged by the
+        This is the repair path: the 1×k row ``matrix[missing] · inv(sub)``
+        is composed once (exact: GF(2^8) is associative) and applied to
+        the ``k`` survivors, or a survivor is returned if it is ``missing``
+        itself.  Network cost (k fragment reads) is charged by the
         storage layer, not here.
         """
-        if not (0 <= missing < self.n):
-            raise ValueError(f"fragment index {missing} out of range")
-        data = self.decode(fragments, orig_len=self.fragment_size(orig_len) * self.k)
+        self._check_indices([missing, *fragments])
         frag = self.fragment_size(orig_len)
-        shards = np.frombuffer(data, dtype=np.uint8).reshape(self.k, frag)
-        if missing < self.k:
-            return shards[missing].tobytes()
-        row = self._parity[missing - self.k: missing - self.k + 1]
-        return gf_matmul(row, shards)[0].tobytes()
+        if frag == 0:
+            return b""
+        idxs, rows = self._survivors(fragments, frag)
+        if missing in idxs:
+            return rows[idxs.index(missing)].tobytes()
+        row = gf_matmul(self._matrix[[missing]], self._inverse(idxs))
+        return gf_matmul(row, rows)[0].tobytes()
+
+    def _check_indices(self, idxs: Iterable[int]) -> None:
+        bad = sorted(i for i in idxs if not 0 <= i < self.n)
+        if bad:
+            raise ValueError(f"fragment index {bad} outside [0, {self.n})")
+
+    def _survivors(self, fragments: Dict[int, bytes], frag: int):
+        """The ``k`` lowest fragment indices and their bytes as rows."""
+        if len(fragments) < self.k:
+            raise InsufficientReplicasError(
+                f"need {self.k} fragments, have {len(fragments)}")
+        idxs = sorted(fragments)[: self.k]
+        rows = np.stack([
+            np.frombuffer(fragments[i], dtype=np.uint8) for i in idxs])
+        if rows.shape[1] != frag:
+            raise ValueError(
+                f"fragment size {rows.shape[1]} != expected {frag}")
+        return idxs, rows
+
+    def _inverse(self, idxs: List[int]) -> np.ndarray:
+        """``inv(matrix[idxs])``, cached per survivor set (at most C(n, k))."""
+        key = tuple(idxs)
+        if key not in self._inverses:
+            self._inverses[key] = gf_mat_inv(self._matrix[idxs])
+        return self._inverses[key]

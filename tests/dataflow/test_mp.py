@@ -427,3 +427,30 @@ def test_engine_pool_prefetch_skips_impure_stages(pool):
     assert v_local == v_pool
     # only the 4 pure map-stage partitions prefetch, not the reduce side
     assert m_pool.pool_prefetched == 4
+
+
+def test_engine_pool_prefetch_failure_is_counted(pool, monkeypatch):
+    from repro.dataflow.mp import PooledExecutor
+    from repro.obs import MetricsRegistry, set_registry
+
+    def broken(self, ds, splits):
+        raise RuntimeError("pool unavailable")
+
+    build = lambda ctx: (ctx.parallelize(range(80), 4)
+                         .map(lambda x: x * 3)
+                         .filter(lambda x: x % 2 == 0))
+    v_local, m_local = _sim_collect(build)
+    monkeypatch.setattr(PooledExecutor, "compute_partitions", broken)
+    reg = MetricsRegistry()
+    prev = set_registry(reg)
+    try:
+        v_pool, m_pool = _sim_collect(build, backend=pool)
+    finally:
+        set_registry(prev)
+    # the stage computed inline: same result and schedule, one fallback
+    assert v_pool == v_local
+    assert m_pool.duration == m_local.duration
+    assert m_pool.pool_prefetched == 0
+    assert m_pool.pool_prefetch_fallbacks == 1
+    assert reg.value("engine.pool_prefetch_fallbacks") == 1
+    assert m_local.pool_prefetch_fallbacks == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.storage.gf256 import (
     EXP_TABLE,
     LOG_TABLE,
+    MUL_TABLE,
     gf_add,
     gf_div,
     gf_inv,
@@ -34,6 +35,11 @@ class TestKnownVectors:
     def test_exp_log_roundtrip(self):
         for a in range(1, 256):
             assert EXP_TABLE[LOG_TABLE[a]] == a
+
+    def test_product_table_is_exhaustively_gf_mul(self):
+        want = [[gf_mul(a, b) for b in range(256)] for a in range(256)]
+        assert MUL_TABLE.dtype == np.uint8
+        assert MUL_TABLE.tolist() == want
 
 
 class TestFieldAxioms:

@@ -103,3 +103,39 @@ class TestReconstruction:
         bad = {0: frags[0], 1: frags[1][:-1]}
         with pytest.raises(ValueError):
             code.decode(bad, 10)
+
+
+class TestFragmentIndexValidation:
+    """Fragment keys outside [0, n) are rejected, not aliased."""
+
+    def setup_method(self):
+        self.code = RSCode(4, 2)
+        self.data = bytes(range(40))
+        self.frags = self.code.encode(self.data)
+
+    def test_negative_key_does_not_alias_last_parity(self):
+        # -1 used to index the last parity row through numpy negative
+        # indexing, so this stripe decoded to the wrong bytes
+        f = self.frags
+        with pytest.raises(ValueError, match="outside"):
+            self.code.decode({-1: f[4], 1: f[1], 2: f[2], 3: f[3]}, 40)
+        with pytest.raises(ValueError, match="outside"):
+            self.code.reconstruct_fragment(
+                {-1: f[5], 1: f[1], 2: f[2], 3: f[3]}, 0, 40)
+
+    def test_key_past_n_is_a_value_error(self):
+        f = self.frags
+        with pytest.raises(ValueError, match="outside"):
+            self.code.decode({0: f[0], 1: f[1], 2: f[2], 6: f[5]}, 40)
+        with pytest.raises(ValueError, match="outside"):
+            self.code.reconstruct_fragment(
+                {0: f[0], 1: f[1], 2: f[2], 6: f[5]}, 3, 40)
+
+    def test_extra_out_of_range_key_is_rejected_too(self):
+        # even when k valid fragments are present, and for empty blocks
+        f = self.frags
+        sub = {i: f[i] for i in range(6)}
+        with pytest.raises(ValueError):
+            self.code.decode({**sub, 7: f[0]}, 40)
+        with pytest.raises(ValueError):
+            self.code.decode({-2: b""}, 0)
