@@ -10,8 +10,8 @@ combine.  ``benchmarks/bench_p0_wallclock.py`` drives it and writes
 Two single-leg measurements per simulated-cluster workload:
 
 * ``shuffle_write`` — records/sec through :func:`~repro.dataflow.
-  shuffleio.write_buckets` on that workload's map-task outputs, exactly
-  as the executors call it (one call per map task, one
+  shuffleio.write_buckets` on that workload's listed map-task outputs,
+  map-side combine included (one call per map task, one
   :class:`~repro.dataflow.costmodel.SizeEstimator` per executor),
   best of several reps.  Profiling shows end-to-end simulated jobs are
   dominated by the network-flow solver (max-min fair rate allocation),

@@ -41,7 +41,7 @@ from ..simcore.resources import Store
 from ..storage import integrity
 from .costmodel import CostModel, SizeEstimator
 from .plan import Dataset, ShuffleDependency, TaskRuntime
-from .shuffleio import write_buckets
+from .shuffleio import count_sink_fallback, map_side_items, write_buckets
 from .stages import (
     Stage,
     build_stages,
@@ -115,6 +115,9 @@ class JobMetrics:
     pool_prefetched: int = 0           # partitions precomputed on the
     # process pool before simulated placement (pool backend only)
     pool_prefetch_fallbacks: int = 0   # failed prefetches, computed inline
+    combine_sink_fallbacks: Dict[str, int] = field(default_factory=dict)
+    # map tasks of map-side-combining shuffles that could not fold into a
+    # compiled combine sink, by shuffleio.SINK_FALLBACKS reason
     task_durations: List[float] = field(default_factory=list)
 
     @property
@@ -507,6 +510,8 @@ class SimEngine:
         reg.counter("engine.broadcast_bytes").inc(metrics.broadcast_bytes)
         reg.counter("engine.spill_bytes").inc(metrics.spill_bytes)
         reg.counter("engine.fused_segments").inc(metrics.fused_segments)
+        for reason, n in sorted(metrics.combine_sink_fallbacks.items()):
+            count_sink_fallback(reason, n)
         reg.counter("engine.locality.node").inc(metrics.locality_node)
         reg.counter("engine.locality.rack").inc(metrics.locality_rack)
         reg.counter("engine.locality.any").inc(metrics.locality_any)
@@ -556,7 +561,8 @@ class SimEngine:
         A prefetch that raises falls back to inline compute, so error
         surfacing stays identical to the in-process path; each fallback
         is counted in ``metrics.pool_prefetch_fallbacks`` and the
-        ``engine.pool_prefetch_fallbacks`` registry counter.
+        ``engine.pool_prefetch_fallbacks`` registry counter, and by
+        exception class in ``engine.pool_prefetch_fallbacks.<class>``.
         """
         ctx = stage.dataset.ctx
         if not self.config.pool_prefetch \
@@ -571,10 +577,12 @@ class SimEngine:
         reg = obs_metrics.get_registry()
         try:
             parts = ctx.pooled_executor.compute_partitions(ds, missing)
-        except Exception:
+        except Exception as exc:
             metrics.pool_prefetch_fallbacks += 1
             if reg is not None:
                 reg.counter("engine.pool_prefetch_fallbacks").inc()
+                reg.counter("engine.pool_prefetch_fallbacks."
+                            + type(exc).__name__).inc()
             return
         for s, records in parts.items():
             self._prefetched[(ds.dataset_id, s)] = records
@@ -978,11 +986,20 @@ class SimEngine:
         try:
             prefetched = self._prefetched.pop(
                 (stage.dataset.dataset_id, split), None)
-            records = prefetched if prefetched is not None \
-                else list(stage.dataset.iterate(split, runtime))
+            if stage.is_result:
+                records = prefetched if prefetched is not None \
+                    else list(stage.dataset.iterate(split, runtime))
+                records_in = len(records)
+            else:
+                # map output is folded here, at the compute site: with a
+                # combine sink the pre-combine records never materialize
+                records, records_in, fallback = map_side_items(
+                    stage.shuffle_dep, split, runtime, prefetched)
+                if fallback is not None:
+                    fb = metrics.combine_sink_fallbacks
+                    fb[fallback] = fb.get(fallback, 0) + 1
             error = None
         except MissingShuffleError as exc:
-            records = []
             error = exc
         finally:
             acc_stashes = [(a, a._end_task()) for a in accs]
@@ -1024,7 +1041,7 @@ class SimEngine:
         n_source = source_record_count(stage.dataset, split)
         depth = narrow_op_depth(stage.dataset)
         work = self.cost.compute_work(
-            len(records) + runtime.records_in + n_source, max(depth, 1))
+            records_in + runtime.records_in + n_source, max(depth, 1))
         yield node.compute(work)
         # produce output
         if stage.is_result:
@@ -1032,7 +1049,8 @@ class SimEngine:
         else:
             dep = stage.shuffle_dep
             buckets, _written, bucket_bytes = write_buckets(
-                dep, records, self.cost, size_estimator=self._size_est)
+                dep, records, self.cost, size_estimator=self._size_est,
+                combined=True)
             reg = obs_metrics.get_registry()
             if reg is not None:
                 reg.counter("engine.shuffle_write_bytes").inc(

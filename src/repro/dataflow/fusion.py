@@ -17,6 +17,35 @@ inlined per element; they act as *pipeline joints*: the fused chain is
 split into element segments around them and each joint wraps the
 iterator exactly as the unfused path would.
 
+**Combine sink.**  When the chain feeds a map-side-combining shuffle and
+ends in an element segment, :func:`fold_chain` compiles that trailing
+segment with the combiner inlined (shape key ``kinds + ("combine",)``):
+the loop folds each record straight into one dict instead of yielding
+it, so the pre-combine record list is never built.  For the wordcount
+shape ``flat_map → filter → map → reduce_by_key`` the generated code is::
+
+    def _fused(_it, _fns, _create, _merge_value):
+        (_f0, _f1, _f2,) = _fns
+        _merged = {}
+        _get = _merged.get
+        _missing = _MISSING
+        _n = 0
+        for _v in _it:
+            for _v in _f0(_v):
+                if not _f1(_v):
+                    continue
+                _k, _x = _f2(_v)
+                _n += 1
+                _prev = _get(_k, _missing)
+                _merged[_k] = (_create(_x) if _prev is _missing
+                               else _merge_value(_prev, _x))
+        return list(_merged.items()), _n
+
+Merge calls happen in record order and keys come out in first-occurrence
+order, exactly as :func:`~repro.dataflow.shuffleio._combine` over the
+materialized list; ``_n`` is the pre-combine record count the cost model
+charges.
+
 Fusion is a wall-clock optimization only — results, lineage, cache
 semantics, and the simulated cost model are unchanged (the chaos
 harness's recovery-equivalence oracles run with fusion enabled).  The
@@ -33,15 +62,22 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple,
 )
 
-__all__ = ["run_chain", "compile_segment",
+__all__ = ["run_chain", "fold_chain", "compile_segment",
            "reset_segment_cache", "prime_segments", "segment_cache_shapes",
-           "segment_shapes", "ELEMENT_KINDS", "ITER_KINDS"]
+           "segment_shapes", "ELEMENT_KINDS", "ITER_KINDS", "SINK_KIND"]
 
 #: Step kinds that fuse into straight-line per-record code.
 ELEMENT_KINDS = ("map", "filter", "flatmap")
 
 #: Step kinds applied as iterator wrappers (pipeline joints).
 ITER_KINDS = ("iter", "iter_split")
+
+#: Trailing shape-key entry of a segment compiled with a combine sink.
+SINK_KIND = "combine"
+
+# "no combiner yet" marker of the generated sink loop: a private object,
+# so no user combiner can be identical to it
+_MISSING = object()
 
 # -- whole-segment code generation -------------------------------------------
 
@@ -68,8 +104,9 @@ def prime_segments(shapes: Iterable[Sequence[str]]) -> int:
     """Eagerly compile ``shapes`` into this process's segment cache.
 
     Returns the number of segments compiled (cache hits don't count).
-    Pool workers are primed with the shapes of the plan they will run so
-    the first task of every worker pays no codegen latency.
+    Pool workers are primed with the shapes of the plan they will run,
+    combine-sink shapes included, so the first task of every worker
+    pays no codegen latency.
     """
     compiled = 0
     for shape in shapes:
@@ -80,11 +117,14 @@ def prime_segments(shapes: Iterable[Sequence[str]]) -> int:
     return compiled
 
 
-def segment_shapes(kinds: Sequence[str]) -> List[Tuple[str, ...]]:
+def segment_shapes(kinds: Sequence[str],
+                   sink: bool = False) -> List[Tuple[str, ...]]:
     """Element-segment shapes :func:`run_chain` would compile for a
     fused chain with the given step kinds (iterator steps split the
     chain into separate compiled segments, exactly as ``run_chain``'s
-    flush points do)."""
+    flush points do).  With ``sink``, the shapes :func:`fold_chain`
+    compiles instead: a trailing element segment carries the
+    :data:`SINK_KIND` key."""
     shapes: List[Tuple[str, ...]] = []
     cur: List[str] = []
     for kind in kinds:
@@ -95,16 +135,16 @@ def segment_shapes(kinds: Sequence[str]) -> List[Tuple[str, ...]]:
                 shapes.append(tuple(cur))
                 cur = []
     if cur:
-        shapes.append(tuple(cur))
+        shapes.append(tuple(cur) + ((SINK_KIND,) if sink else ()))
     return shapes
 
 
 def compile_segment(kinds: Tuple[str, ...]) -> Callable:
-    """A generator function applying ``kinds`` element steps in one frame.
+    """A function applying ``kinds`` element steps in one frame.
 
-    The returned callable has signature ``fused(it, fns) -> iterator``
-    where ``fns`` aligns with ``kinds``.  Generated code for
-    ``("map", "filter", "flatmap")``::
+    For plain element shapes the returned callable is a generator
+    function ``fused(it, fns) -> iterator`` where ``fns`` aligns with
+    ``kinds``.  Generated code for ``("map", "filter", "flatmap")``::
 
         def _fused(_it, _fns):
             (_f0, _f1, _f2,) = _fns
@@ -117,19 +157,53 @@ def compile_segment(kinds: Tuple[str, ...]) -> Callable:
 
     ``continue`` inside a nested flat_map loop skips only the current
     inner element — exactly the unfused filter semantics at that depth.
+
+    A shape ending in :data:`SINK_KIND` compiles the same loop with a
+    combine sink in place of the ``yield``: the callable is
+    ``fused(it, fns, create, merge_value) -> (items, n_folded)``.
+    Generated code for ``("filter", "flatmap", "combine")``::
+
+        def _fused(_it, _fns, _create, _merge_value):
+            (_f0, _f1,) = _fns
+            _merged = {}
+            _get = _merged.get
+            _missing = _MISSING
+            _n = 0
+            for _v in _it:
+                if not _f0(_v):
+                    continue
+                for _v in _f1(_v):
+                    _k, _x = _v
+                    _n += 1
+                    _prev = _get(_k, _missing)
+                    _merged[_k] = (_create(_x) if _prev is _missing
+                                   else _merge_value(_prev, _x))
+            return list(_merged.items()), _n
+
+    A trailing ``map`` unpacks its result into ``_k, _x`` directly
+    (``_k, _x = _f0(_v)``).  Either way a record that is not a pair
+    raises the same exception as ``_combine``'s ``for k, v in records``.
     Compiled functions are cached per step-shape.
     """
     hit = _SEGMENT_CACHE.get(kinds)
     if hit is not None:
         return hit
-    if not kinds or any(k not in ELEMENT_KINDS for k in kinds):
+    sink = kinds[-1:] == (SINK_KIND,)
+    body = kinds[:-1] if sink else kinds
+    if not body or any(k not in ELEMENT_KINDS for k in body):
         raise ValueError(f"cannot compile segment {kinds!r}")
-    names = [f"_f{i}" for i in range(len(kinds))]
-    lines = ["def _fused(_it, _fns):",
-             f"    ({', '.join(names)},) = _fns",
-             "    for _v in _it:"]
+    names = [f"_f{i}" for i in range(len(body))]
+    lines = ["def _fused(_it, _fns"
+             + (", _create, _merge_value):" if sink else "):"),
+             f"    ({', '.join(names)},) = _fns"]
+    if sink:
+        lines += ["    _merged = {}",
+                  "    _get = _merged.get",
+                  "    _missing = _MISSING",
+                  "    _n = 0"]
+    lines.append("    for _v in _it:")
     pad = "        "
-    for i, kind in enumerate(kinds):
+    for i, kind in enumerate(body):
         if kind == "map":
             lines.append(f"{pad}_v = _f{i}(_v)")
         elif kind == "filter":
@@ -138,8 +212,19 @@ def compile_segment(kinds: Tuple[str, ...]) -> Callable:
         else:  # flatmap
             lines.append(f"{pad}for _v in _f{i}(_v):")
             pad += "    "
-    lines.append(f"{pad}yield _v")
-    namespace: Dict[str, Any] = {}
+    if not sink:
+        lines.append(f"{pad}yield _v")
+    else:
+        if body[-1] == "map":
+            lines[-1] = f"{pad}_k, _x = _f{len(body) - 1}(_v)"
+        else:
+            lines.append(f"{pad}_k, _x = _v")
+        lines += [f"{pad}_n += 1",
+                  f"{pad}_prev = _get(_k, _missing)",
+                  f"{pad}_merged[_k] = (_create(_x) if _prev is _missing",
+                  f"{pad}               else _merge_value(_prev, _x))",
+                  "    return list(_merged.items()), _n"]
+    namespace: Dict[str, Any] = {"_MISSING": _MISSING}
     code = compile("\n".join(lines), f"<fused:{'-'.join(kinds)}>", "exec")
     exec(code, namespace)
     fn = namespace["_fused"]
@@ -176,3 +261,28 @@ def run_chain(steps: Sequence[Tuple[str, Callable]], split: int,
         else:
             raise ValueError(f"unknown fused step kind {kind!r}")
     return flush(it)
+
+
+def fold_chain(steps: Sequence[Tuple[str, Callable]], split: int,
+               it: Iterator, create: Callable[[Any], Any],
+               merge_value: Callable[[Any, Any], Any],
+               ) -> Tuple[List[Tuple], int]:
+    """Run fused ``steps`` on ``it`` straight into a map-side combine.
+
+    ``steps`` must end in an element step.  Everything before the
+    trailing element segment runs as :func:`run_chain` would; that
+    segment is compiled with a combine sink.  Returns ``(items,
+    n_folded)``: the combined ``(key, combiner)`` pairs in
+    first-occurrence key order, and the number of records folded (the
+    length of the list the unfused path would have materialized).
+    """
+    cut = len(steps)
+    while cut and steps[cut - 1][0] in ELEMENT_KINDS:
+        cut -= 1
+    if cut == len(steps):
+        raise ValueError("fold_chain needs a trailing element step")
+    if cut:
+        it = run_chain(steps[:cut], split, it)
+    tail = steps[cut:]
+    sink = compile_segment(tuple(k for k, _ in tail) + (SINK_KIND,))
+    return sink(it, tuple(fn for _, fn in tail), create, merge_value)

@@ -144,17 +144,22 @@ class LocalExecutor(ExecutorBase):
 
     def _materialize(self, ds: Dataset, split: int) -> List:
         """Compute one partition with accumulator exactly-once bookkeeping."""
+        return self._as_task(lambda: list(ds.iterate(split, self._runtime)))
+
+    def _as_task(self, compute: Callable[[], Any]) -> Any:
+        """Run ``compute`` as one task: accumulator updates made inside
+        it are stashed and applied once, after it returns."""
         accs = self.ctx.accumulators
         for a in accs:
             a._begin_task()
         try:
-            records = list(ds.iterate(split, self._runtime))
+            out = compute()
         finally:
             stashes = [(a, a._end_task()) for a in accs]
         # the local executor never fails a task: every stash is a winner
         for a, stash in stashes:
             a._apply(stash)
-        return records
+        return out
 
     # -- shuffle materialization -----------------------------------------
 
@@ -173,18 +178,23 @@ class LocalExecutor(ExecutorBase):
                 self._write_shuffle(dep)
 
     def _write_shuffle(self, dep: ShuffleDependency) -> None:
-        from .shuffleio import write_buckets
+        from .shuffleio import (
+            count_sink_fallback, map_side_items, write_buckets,
+        )
 
-        parent = dep.parent
         n_out = dep.partitioner.n_partitions
         buckets: List[List] = [[] for _ in range(n_out)]
         metrics = ShuffleMetrics(dep.shuffle_id)
         cost = self.ctx.cost_model
-        for split in range(parent.n_partitions):
-            records = self._materialize(parent, split)
-            metrics.records_in += len(records)
+        for split in range(dep.parent.n_partitions):
+            items, records_in, fallback = self._as_task(
+                lambda: map_side_items(dep, split, self._runtime))
+            if fallback is not None:
+                count_sink_fallback(fallback)
+            metrics.records_in += records_in
             split_buckets, written, bucket_bytes = write_buckets(
-                dep, records, cost, size_estimator=self._size_est)
+                dep, items, cost, size_estimator=self._size_est,
+                combined=True)
             metrics.records_written += written
             metrics.bytes_written += sum(bucket_bytes)
             for rid in range(n_out):

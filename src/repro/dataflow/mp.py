@@ -25,8 +25,9 @@ Design:
   travel as raw frames).  Unserializable operators surface as
   :class:`~repro.common.errors.UnpicklableTaskError` naming the plan
   node, via :func:`audit_plan`, not as a deep worker traceback.
-* **Shuffle by file.**  Map tasks run ``write_buckets`` (the same
-  map-side combine path as the local executor) in the worker, write the
+* **Shuffle by file.**  Map tasks run ``map_side_items`` and
+  ``write_buckets`` (the same map-side combine path as the local
+  executor, compiled combine sink included) in the worker, write the
   buckets to a per-(shuffle, map) scratch file, and stream back only a
   *reference* (path + per-bucket offsets) plus the
   :class:`~repro.dataflow.local.ShuffleMetrics` numbers.  Reduce tasks
@@ -119,12 +120,20 @@ def _walk_datasets(root: Dataset) -> List[Dataset]:
 
 
 def _plan_segment_shapes(datasets: Sequence[Dataset]) -> List[Tuple[str, ...]]:
-    """Fused-segment step shapes the plan will compile (for priming)."""
+    """Fused-segment step shapes the plan will compile (for priming):
+    every mapped dataset's chain, plus the combine-sink shapes of the
+    map tasks that :func:`shuffleio.map_side_items` folds."""
     shapes: set = set()
     for ds in datasets:
         if isinstance(ds, MappedDataset):
             kinds = [d._fused_step()[0] for d in ds._fused_chain()]
             shapes.update(fusion.segment_shapes(kinds))
+        for dep in ds.deps:
+            if isinstance(dep, ShuffleDependency) and dep.map_side_combine \
+                    and shuffleio._sink_fallback(dep.parent, False) is None:
+                kinds = [d._fused_step()[0]
+                         for d in dep.parent._fused_chain()]
+                shapes.update(fusion.segment_shapes(kinds, sink=True))
     return sorted(shapes)
 
 
@@ -327,14 +336,17 @@ def _run_task(state: _WorkerState, out_path: Optional[str], blob: bytes,
             result: Dict[str, Any] = {"records": records}
         else:  # "map": compute the parent split and write its buckets
             dep = state.shuffle_deps[spec["id"]]
-            records = list(dep.parent.iterate(spec["split"], state.runtime))
+            items, records_in, fallback = shuffleio.map_side_items(
+                dep, spec["split"], state.runtime)
             buckets, written, bucket_bytes = shuffleio.write_buckets(
-                dep, records, state.cost, size_estimator=state.size_est)
+                dep, items, state.cost, size_estimator=state.size_est,
+                combined=True)
             offsets = shuffleio.write_bucket_file(
                 out_path, buckets, dep.parent.ctx.options.checksums)
             result = {"path": out_path, "offsets": offsets,
-                      "records_in": len(records), "written": written,
-                      "bucket_bytes": bucket_bytes}
+                      "records_in": records_in, "written": written,
+                      "bucket_bytes": bucket_bytes,
+                      "sink_fallback": fallback}
     finally:
         stashes = [a._end_task() for a in accs]
         for key in spec["payloads"]:
@@ -922,6 +934,8 @@ class PooledExecutor(ExecutorBase):
         # the original attempt of this map already applied its accumulator
         # stashes and shuffle metrics; the re-run only replaces the bytes
         (res,) = self._run_specs([spec])
+        if res["sink_fallback"] is not None:
+            shuffleio.count_sink_fallback(res["sink_fallback"])
         refs = self._shuffle_refs[sid]
         refs[m] = (res["path"], res["offsets"])
         self.backend.register_shuffle(sid, refs)
@@ -963,6 +977,8 @@ class PooledExecutor(ExecutorBase):
         metrics = ShuffleMetrics(sid)
         refs = []
         for res in results:   # map-split order
+            if res["sink_fallback"] is not None:
+                shuffleio.count_sink_fallback(res["sink_fallback"])
             metrics.records_in += res["records_in"]
             metrics.records_written += res["written"]
             metrics.bytes_written += sum(res["bucket_bytes"])

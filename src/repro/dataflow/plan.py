@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+# "key not seen yet" marker of the one-lookup ``dict.get`` folds below
+_MISSING = object()
+
+
 class Aggregator:
     """Combiner triple for shuffle aggregation (Spark's Aggregator)."""
 
@@ -275,8 +279,12 @@ class Dataset:
             # already partitioned correctly: aggregate within partitions
             def local_agg(it: Iterator) -> Iterator:
                 acc: Dict[Any, Any] = {}
+                get = acc.get
+                missing = _MISSING
                 for k, v in it:
-                    acc[k] = merge_value(acc[k], v) if k in acc else create(v)
+                    prev = get(k, missing)
+                    acc[k] = create(v) if prev is missing \
+                        else merge_value(prev, v)
                 return iter(acc.items())
             return MappedDataset(self, local_agg, preserves_partitioning=True)
         dep = ShuffleDependency(self, part, agg,
@@ -619,6 +627,21 @@ class MappedDataset(Dataset):
         return fusion.run_chain([ds._fused_step() for ds in chain],
                                 split, base_iter)
 
+    def fold(self, split: int, runtime: TaskRuntime,
+             agg: Aggregator) -> Tuple[List[Tuple], int]:
+        """Partition ``split`` folded straight into a map-side combine.
+
+        Returns ``(items, n_folded)`` through :func:`fusion.fold_chain`.
+        Only for an uncached dataset whose own op is element-wise, on a
+        context with fusion on (:func:`~repro.dataflow.shuffleio.
+        map_side_items` checks); an uncached dataset is never in the
+        cache, so skipping :meth:`iterate` skips nothing.
+        """
+        chain = self._fused_chain()
+        base_iter = chain[0].parent.iterate(split, runtime)
+        return fusion.fold_chain([ds._fused_step() for ds in chain], split,
+                                 base_iter, agg.create, agg.merge_value)
+
 
 class UnionDataset(Dataset):
     """Concatenation: partitions of all parents, in order."""
@@ -669,14 +692,20 @@ class ShuffledDataset(Dataset):
         agg = self.dep.aggregator
         if agg is not None:
             merged: Dict[Any, Any] = {}
+            get = merged.get
+            missing = _MISSING
             if self.dep.map_side_combine:
+                merge_combiners = agg.merge_combiners
                 for k, c in records:
-                    merged[k] = agg.merge_combiners(merged[k], c) \
-                        if k in merged else c
+                    prev = get(k, missing)
+                    merged[k] = c if prev is missing \
+                        else merge_combiners(prev, c)
             else:
+                create, merge_value = agg.create, agg.merge_value
                 for k, v in records:
-                    merged[k] = agg.merge_value(merged[k], v) \
-                        if k in merged else agg.create(v)
+                    prev = get(k, missing)
+                    merged[k] = create(v) if prev is missing \
+                        else merge_value(prev, v)
             items: Iterable = merged.items()
             if self.dep.sort_ascending is not None:
                 items = sorted(items, key=lambda kv: kv[0],

@@ -1,15 +1,29 @@
 """Shared shuffle-write logic (map-side partitioning and combining).
 
-Both executors funnel map output through :func:`write_buckets` so the
-combiner semantics — and the volume accounting the experiments read —
-are identical in local and simulated execution.
+Three sites write map output — ``SimEngine._task_proc``, the pool
+worker's ``"map"`` task (``mp._run_task``) and
+``LocalExecutor._write_shuffle`` — and all three go through the same two
+steps, so the combiner semantics, and the volume accounting the
+experiments read, are identical in local, pooled and simulated
+execution:
+
+1. :func:`map_side_items`, at the task's compute site, produces the
+   records bound for the wire and the pre-combine record count.  When
+   the shuffle combines map-side and the map dataset's fused chain ends
+   in an element segment, the records never materialize: the chain is
+   compiled with a combine sink (:func:`~repro.dataflow.fusion.
+   fold_chain`) that folds each one straight into the combined dict.
+   Otherwise — with every such fallback named by a reason from
+   :data:`SINK_FALLBACKS` and counted by the caller — it lists the
+   partition and folds it with :func:`_combine`.  ``ExecOptions(fusion=
+   False)`` is that reference path, not a fallback.
+2. :func:`write_buckets`, at write time, partitions and scatters them.
 
 The write path is **vectorized**: keys are partitioned in one
 :meth:`~repro.dataflow.partitioner.Partitioner.partition_many` pass and
 records are scattered to buckets in one zip-append sweep over the id
-array instead of one ``partition()`` call per record.  With map-side combining, records
-are first merged into one dict (identical merge semantics, in record
-order) and only the *combined* items — typically far fewer — are
+array instead of one ``partition()`` call per record.  With map-side
+combining only the *combined* items — typically far fewer — are
 partitioned and scattered.  Bucket contents and ordering are
 byte-identical to the per-record reference :func:`_write_buckets_scalar`,
 which no executor calls: it survives only as the tests' correctness
@@ -30,10 +44,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import BucketFileError, ChecksumError
+from ..obs.metrics import get_registry
+from . import fusion
 from .costmodel import CostModel, SizeEstimator
-from .plan import ShuffleDependency
+from .plan import MappedDataset, ShuffleDependency, TaskRuntime
 
-__all__ = ["write_buckets", "write_bucket_file", "read_bucket_file"]
+__all__ = ["map_side_items", "count_sink_fallback", "SINK_FALLBACKS",
+           "write_buckets", "write_bucket_file", "read_bucket_file"]
+
+#: Why a map task of a map-side-combining shuffle could not fold its
+#: records into a combine sink: the map dataset is not a
+#: ``MappedDataset``, its own op is an iterator step, it is cached, or
+#: its records were precomputed on the process pool.
+SINK_FALLBACKS = ("not_mapped", "iter_tail", "cached", "prefetched")
 
 
 def _scatter(items: Sequence, part_ids: np.ndarray,
@@ -66,6 +89,58 @@ def _combine(dep: ShuffleDependency, records: Sequence) -> List[Tuple]:
     return list(merged.items())
 
 
+def _sink_fallback(ds, prefetched: bool) -> Optional[str]:
+    """The :data:`SINK_FALLBACKS` reason ``ds`` cannot fold, or None."""
+    if prefetched:
+        return "prefetched"
+    if not isinstance(ds, MappedDataset):
+        return "not_mapped"
+    if ds.cached:
+        return "cached"
+    if ds._fused_step()[0] not in fusion.ELEMENT_KINDS:
+        return "iter_tail"
+    return None
+
+
+def map_side_items(dep: ShuffleDependency, split: int,
+                   runtime: TaskRuntime, records: Optional[List] = None,
+                   ) -> Tuple[List, int, Optional[str]]:
+    """Compute map split ``split`` of ``dep`` into its shuffle-write input.
+
+    Returns ``(items, records_in, fallback)``.  ``items`` are the
+    combined ``(key, combiner)`` pairs when ``dep`` combines map-side,
+    else the records themselves; pass them to :func:`write_buckets` with
+    ``combined=True``.  ``records_in`` is the pre-combine record count
+    (what the cost model charges).  ``fallback`` names the
+    :data:`SINK_FALLBACKS` reason a combining split could not fold
+    through the compiled sink, for the caller to count; it is None when
+    the sink ran, when nothing combines, and with fusion off.
+    ``records`` are the split's records when already computed (a pool
+    prefetch).
+    """
+    ds = dep.parent
+    combine = dep.map_side_combine and dep.aggregator is not None
+    fallback = None
+    if combine and ds.ctx.options.fusion:
+        fallback = _sink_fallback(ds, records is not None)
+        if fallback is None:
+            items, n_folded = ds.fold(split, runtime, dep.aggregator)
+            return items, n_folded, None
+    if records is None:
+        records = list(ds.iterate(split, runtime))
+    if combine:
+        return _combine(dep, records), len(records), fallback
+    return records, len(records), None
+
+
+def count_sink_fallback(reason: str, n: int = 1) -> None:
+    """Count ``n`` combine-sink fallbacks in the global registry, as
+    ``dataflow.combine_sink_fallbacks.<reason>`` (no-op when off)."""
+    reg = get_registry()
+    if reg is not None:
+        reg.counter(f"dataflow.combine_sink_fallbacks.{reason}").inc(n)
+
+
 def _bucket_bytes(buckets: List[List], written_records: Sequence,
                   shuffle_id: int, cost: CostModel,
                   size_estimator: Optional[SizeEstimator]) -> List[float]:
@@ -79,21 +154,24 @@ def _bucket_bytes(buckets: List[List], written_records: Sequence,
 def write_buckets(dep: ShuffleDependency, records: Sequence,
                   cost: CostModel,
                   size_estimator: Optional[SizeEstimator] = None,
+                  combined: bool = False,
                   ) -> Tuple[List[List], int, List[float]]:
     """Partition ``records`` into reduce buckets for ``dep``.
 
-    Applies map-side combining when the dependency asks for it.  Returns
-    ``(buckets, records_written, bytes_per_bucket)`` where byte counts are
-    cost-model estimates of the serialized bucket sizes (memoized per
-    shuffle when a ``size_estimator`` is supplied).
+    Applies map-side combining when the dependency asks for it, unless
+    ``combined`` says the records are :func:`map_side_items`' output
+    (already combined).  Returns ``(buckets, records_written,
+    bytes_per_bucket)`` where byte counts are cost-model estimates of
+    the serialized bucket sizes (memoized per shuffle when a
+    ``size_estimator`` is supplied).
     """
     n_out = dep.partitioner.n_partitions
-    if dep.map_side_combine and dep.aggregator is not None:
+    if dep.map_side_combine and dep.aggregator is not None \
+            and not combined:
         items = _combine(dep, records)
-        written = len(items)
     else:
         items = records if isinstance(records, list) else list(records)
-        written = len(items)
+    written = len(items)
     if not items:
         buckets: List[List] = [[] for _ in range(n_out)]
     else:

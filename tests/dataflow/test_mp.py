@@ -453,4 +453,5 @@ def test_engine_pool_prefetch_failure_is_counted(pool, monkeypatch):
     assert m_pool.pool_prefetched == 0
     assert m_pool.pool_prefetch_fallbacks == 1
     assert reg.value("engine.pool_prefetch_fallbacks") == 1
+    assert reg.value("engine.pool_prefetch_fallbacks.RuntimeError") == 1
     assert m_local.pool_prefetch_fallbacks == 0
