@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import re
 import sys
 from typing import Dict, List, Optional
 
 __all__ = ["discover", "main"]
+
+# experiment files only: bench_t1_wordcount_scaling -> "t1", but no id
+# for a guard such as bench_chaos_overhead
+_EXPERIMENT = re.compile(r"bench_([a-z][0-9]+)_\w+")
 
 
 def _bench_dir() -> Optional[pathlib.Path]:
@@ -38,10 +43,9 @@ def discover() -> Dict[str, pathlib.Path]:
         return {}
     out: Dict[str, pathlib.Path] = {}
     for path in sorted(bench.glob("bench_*.py")):
-        stem = path.stem               # bench_t1_wordcount_scaling
-        parts = stem.split("_")
-        if len(parts) >= 2:
-            out[parts[1]] = path
+        match = _EXPERIMENT.fullmatch(path.stem)
+        if match:
+            out[match.group(1)] = path
     return out
 
 

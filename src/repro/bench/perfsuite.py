@@ -247,19 +247,21 @@ def _chunk(records: List, n_tasks: int) -> List[List]:
 
 def measure_shuffle_write(dep: ShuffleDependency, task_outputs: List[List],
                           reps: int = 5) -> Dict[str, Any]:
-    """Measure ``write_buckets`` over one stage's map-task outputs.
+    """Measure the map-side combine (when ``dep`` asks for one) plus
+    ``write_buckets`` over one stage's map-task outputs.
 
     Each rep is one executor's worth of map tasks (a fresh
     :class:`SizeEstimator`, as each executor holds one); every rep must
     produce identical buckets.  Reports best-of-``reps`` throughput.
     """
     records = sum(len(t) for t in task_outputs)
+    combine = dep.map_side_combine and dep.aggregator is not None
 
     def run(_leg: str):
         estimator = SizeEstimator(_WRITE_COST)
-        return (lambda: [shuffleio.write_buckets(dep, recs, _WRITE_COST,
-                                                 estimator)[0]
-                         for recs in task_outputs]), _same
+        return (lambda: [shuffleio.write_buckets(
+            dep, shuffleio._combine(dep, recs) if combine else recs,
+            _WRITE_COST, estimator)[0] for recs in task_outputs]), _same
 
     secs = min(interleaved_ab(("write",), run, reps)["write"])
     return {

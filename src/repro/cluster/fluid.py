@@ -4,16 +4,16 @@ Models a capacity (disk bandwidth, a NIC, a CPU run queue) divided
 *equally* among all jobs currently using it — the fluid limit of
 round-robin service.  Used for per-node disk I/O and as the compute model
 inside executors.  Event-driven: rates are recomputed only when a job
-arrives or departs.
+arrives or departs, and the next completion is one moved ``fluid-waker``
+:class:`~repro.simcore.kernel.Alarm`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict
 
 from ..simcore.events import Event
-from ..simcore.kernel import Simulator
+from ..simcore.kernel import Alarm, Simulator
 
 __all__ = ["FluidResource"]
 
@@ -49,7 +49,7 @@ class FluidResource:
         self._jobs: Dict[int, _Job] = {}
         self._next_jid = 0
         self._last_t = sim.now
-        self._timer_gen = 0
+        self._alarm = Alarm(sim, self._tick, "fluid-waker")
         #: cumulative work served
         self.total_work = 0.0
 
@@ -114,20 +114,5 @@ class FluidResource:
 
     def _reschedule(self) -> None:
         tw = self._total_weight()
-        next_dt = min(
-            j.remaining / (self.capacity * (j.weight / tw))
-            for j in self._jobs.values()
-        )
-        # Clamp up to a representable time step: with tiny residual work the
-        # exact dt can fall below the float ulp at the current clock value,
-        # which would stall the simulation.  Overshooting merely completes
-        # the job (progress accounting tolerates negative remainders).
-        next_dt = max(next_dt, 4.0 * math.ulp(max(abs(self.sim.now), 1.0)))
-        self._timer_gen += 1
-        gen = self._timer_gen
-
-        def _waker(sim: Simulator):
-            yield sim.timeout(max(next_dt, 0.0))
-            if gen == self._timer_gen:
-                self._tick()
-        self.sim.process(_waker(self.sim), name="fluid-waker")
+        self._alarm.set(min(j.remaining / (self.capacity * (j.weight / tw))
+                            for j in self._jobs.values()))

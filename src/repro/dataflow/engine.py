@@ -85,11 +85,6 @@ class EngineConfig:
     resilience: Optional[ResiliencePolicies] = None
     # policy bundle (retry budget + backoff, hedging, per-job deadline);
     # without a retry policy every job runs under DEFAULT_TASK_RETRY
-    pool_prefetch: bool = True
-    # when the owning context's backend is "pool", pure narrow stages (no
-    # shuffle input, no cached datasets, no accumulators) are precomputed
-    # on the process pool before simulated task placement; the simulated
-    # schedule, costs, and results are unchanged — only wall-clock drops
 
 
 @dataclass
@@ -556,6 +551,8 @@ class SimEngine:
                              metrics: JobMetrics) -> None:
         """Precompute a pure narrow stage's partitions on the process pool.
 
+        Runs whenever a pool is attached (``backend == "pool"``) and the
+        stage has no shuffle input, cached dataset or accumulator.
         Results are stashed for :meth:`_task_proc` to pop at its compute
         site, so the simulated schedule and accounting are unchanged.
         A prefetch that raises falls back to inline compute, so error
@@ -565,8 +562,7 @@ class SimEngine:
         exception class in ``engine.pool_prefetch_fallbacks.<class>``.
         """
         ctx = stage.dataset.ctx
-        if not self.config.pool_prefetch \
-                or getattr(ctx, "backend", "inprocess") != "pool" \
+        if getattr(ctx, "backend", "inprocess") != "pool" \
                 or getattr(ctx, "accumulators", []):
             return
         ds = stage.dataset
@@ -1049,8 +1045,7 @@ class SimEngine:
         else:
             dep = stage.shuffle_dep
             buckets, _written, bucket_bytes = write_buckets(
-                dep, records, self.cost, size_estimator=self._size_est,
-                combined=True)
+                dep, records, self.cost, size_estimator=self._size_est)
             reg = obs_metrics.get_registry()
             if reg is not None:
                 reg.counter("engine.shuffle_write_bytes").inc(

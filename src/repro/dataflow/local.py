@@ -193,8 +193,7 @@ class LocalExecutor(ExecutorBase):
                 count_sink_fallback(fallback)
             metrics.records_in += records_in
             split_buckets, written, bucket_bytes = write_buckets(
-                dep, items, cost, size_estimator=self._size_est,
-                combined=True)
+                dep, items, cost, size_estimator=self._size_est)
             metrics.records_written += written
             metrics.bytes_written += sum(bucket_bytes)
             for rid in range(n_out):

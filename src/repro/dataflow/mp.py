@@ -339,8 +339,7 @@ def _run_task(state: _WorkerState, out_path: Optional[str], blob: bytes,
             items, records_in, fallback = shuffleio.map_side_items(
                 dep, spec["split"], state.runtime)
             buckets, written, bucket_bytes = shuffleio.write_buckets(
-                dep, items, state.cost, size_estimator=state.size_est,
-                combined=True)
+                dep, items, state.cost, size_estimator=state.size_est)
             offsets = shuffleio.write_bucket_file(
                 out_path, buckets, dep.parent.ctx.options.checksums)
             result = {"path": out_path, "offsets": offsets,

@@ -17,7 +17,9 @@ execution:
    :data:`SINK_FALLBACKS` and counted by the caller — it lists the
    partition and folds it with :func:`_combine`.  ``ExecOptions(fusion=
    False)`` is that reference path, not a fallback.
-2. :func:`write_buckets`, at write time, partitions and scatters them.
+2. :func:`write_buckets`, at write time, partitions, scatters and sizes
+   them.  It never combines: :func:`map_side_items` is the only
+   map-side combine site.
 
 The write path is **vectorized**: keys are partitioned in one
 :meth:`~repro.dataflow.partitioner.Partitioner.partition_many` pass and
@@ -109,8 +111,8 @@ def map_side_items(dep: ShuffleDependency, split: int,
 
     Returns ``(items, records_in, fallback)``.  ``items`` are the
     combined ``(key, combiner)`` pairs when ``dep`` combines map-side,
-    else the records themselves; pass them to :func:`write_buckets` with
-    ``combined=True``.  ``records_in`` is the pre-combine record count
+    else the records themselves; pass them to :func:`write_buckets`.
+    ``records_in`` is the pre-combine record count
     (what the cost model charges).  ``fallback`` names the
     :data:`SINK_FALLBACKS` reason a combining split could not fold
     through the compiled sink, for the caller to count; it is None when
@@ -151,27 +153,19 @@ def _bucket_bytes(buckets: List[List], written_records: Sequence,
             for b in buckets]
 
 
-def write_buckets(dep: ShuffleDependency, records: Sequence,
+def write_buckets(dep: ShuffleDependency, items: Sequence,
                   cost: CostModel,
                   size_estimator: Optional[SizeEstimator] = None,
-                  combined: bool = False,
                   ) -> Tuple[List[List], int, List[float]]:
-    """Partition ``records`` into reduce buckets for ``dep``.
+    """Partition ``items`` — :func:`map_side_items`' output, already
+    combined when ``dep`` combines map-side — into reduce buckets.
 
-    Applies map-side combining when the dependency asks for it, unless
-    ``combined`` says the records are :func:`map_side_items`' output
-    (already combined).  Returns ``(buckets, records_written,
-    bytes_per_bucket)`` where byte counts are cost-model estimates of
-    the serialized bucket sizes (memoized per shuffle when a
-    ``size_estimator`` is supplied).
+    Returns ``(buckets, records_written, bytes_per_bucket)`` where byte
+    counts are cost-model estimates of the serialized bucket sizes
+    (memoized per shuffle when a ``size_estimator`` is supplied).
     """
     n_out = dep.partitioner.n_partitions
-    if dep.map_side_combine and dep.aggregator is not None \
-            and not combined:
-        items = _combine(dep, records)
-    else:
-        items = records if isinstance(records, list) else list(records)
-    written = len(items)
+    items = items if isinstance(items, list) else list(items)
     if not items:
         buckets: List[List] = [[] for _ in range(n_out)]
     else:
@@ -180,7 +174,7 @@ def write_buckets(dep: ShuffleDependency, records: Sequence,
         buckets = _scatter(items, part_ids, n_out)
     bucket_bytes = _bucket_bytes(buckets, items, dep.shuffle_id, cost,
                                  size_estimator)
-    return buckets, written, bucket_bytes
+    return buckets, len(items), bucket_bytes
 
 
 # -- shuffle bucket files (multi-process backend) ----------------------------
@@ -264,8 +258,8 @@ def read_bucket_file(path: str, offsets: Sequence[Tuple],
 def _write_buckets_scalar(dep: ShuffleDependency, records: Sequence,
                           cost: CostModel,
                           ) -> Tuple[List[List], int, List[float]]:
-    """The per-record reference path: the tests' oracle for
-    :func:`write_buckets` (same buckets, same order, same count)."""
+    """The per-record reference path, combining raw records itself: the
+    tests' oracle for :func:`map_side_items` + :func:`write_buckets`."""
     n_out = dep.partitioner.n_partitions
     buckets: List[List] = [[] for _ in range(n_out)]
     if dep.map_side_combine and dep.aggregator is not None:

@@ -10,7 +10,8 @@ exactly what the experiments here measure.
 
 Links are interned to integer ids and each flow's ``FlowSpec`` is built
 once; flows starting at one instant share one solve (a *start wave*);
-one ``net-waker`` timer is moved, not respawned, when rates change.
+one ``net-waker`` :class:`~repro.simcore.kernel.Alarm` is moved, not
+respawned, when rates change.
 None of this changes a simulated float (``tests/net/test_netsim_pinned.py``).
 """
 
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional
 from ..common.errors import NetworkError
 from ..common.units import Gbit_per_s
 from ..simcore.events import Event
-from ..simcore.kernel import Process, Simulator
+from ..simcore.kernel import Alarm, Simulator
 from .flows import FlowSpec, LinkKey, allocate_rates
 from .topology import Link, Topology
 
@@ -93,8 +94,8 @@ class NetworkSim:
         self._carried: Dict[int, float] = {}
         # start time -> flows of the start wave landing then
         self._waves: Dict[float, List[_Flow]] = {}
-        self._wake: Optional[Event] = None
-        self._waker: Optional[Process] = None
+        # one moved wake-up at the next flow completion
+        self._alarm = Alarm(sim, self._reallocate, "net-waker")
         #: cumulative bytes moved over the network (excludes local copies)
         self.total_bytes = 0.0
         #: number of transfers started
@@ -218,20 +219,4 @@ class NetworkSim:
                 next_dt = min(next_dt, flow.remaining / rate)
         if math.isinf(next_dt):
             raise NetworkError("active flows exist but none can make progress")
-        # Clamp up to a representable step so residual sub-ulp transfer
-        # times cannot stall the clock (see FluidResource._reschedule).
-        next_dt = max(next_dt, 4.0 * math.ulp(max(abs(self.sim.now), 1.0)))
-        if self._wake is not None:
-            self.sim.reschedule(self._wake, next_dt)
-            return
-        self._wake = self.sim.timeout(next_dt)
-        if self._waker is None or not self._waker.is_alive:
-            self._waker = self.sim.process(self._wake_loop(), name="net-waker")
-
-    def _wake_loop(self):
-        """The waker: sleeps until the next completion, re-armed by every
-        solve; ends when a wake-up leaves no flow to wait for."""
-        while self._wake is not None:
-            yield self._wake
-            self._wake = None
-            self._reallocate()
+        self._alarm.set(next_dt)

@@ -13,13 +13,14 @@ so two runs with the same seeds replay identically.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..common.errors import SimulationError
 from ..common.pqueue import IndexedHeap
 from .events import AllOf, AnyOf, Event, Interrupt, PENDING, Timeout
 
-__all__ = ["Simulator", "Process", "NORMAL", "URGENT"]
+__all__ = ["Simulator", "Process", "Alarm", "NORMAL", "URGENT"]
 
 #: Priority for ordinary events.
 NORMAL = 1
@@ -273,3 +274,36 @@ class Simulator:
             return event.value
         event.defused = True
         raise event.value
+
+
+class Alarm:
+    """One moved wake-up timer that calls ``fire()`` when it goes off.
+
+    :meth:`set` moves a pending wake-up with :meth:`Simulator.reschedule`
+    instead of leaving it to fire for nothing.  One process called
+    ``name`` (observers attribute dispatches by it) waits on the timeout
+    for a busy period; ``fire`` may re-arm from inside.
+    """
+
+    def __init__(self, sim: Simulator, fire: Callable[[], None],
+                 name: str) -> None:
+        self.sim, self.fire, self.name = sim, fire, name
+        self._wake: Optional[Timeout] = None
+        self._proc: Optional[Process] = None
+
+    def set(self, delay: float) -> None:
+        """Wake ``delay`` seconds from now, clamped up to a representable
+        step so a sub-ulp residual cannot stall the clock."""
+        delay = max(delay, 4.0 * math.ulp(max(abs(self.sim.now), 1.0)))
+        if self._wake is not None:
+            self.sim.reschedule(self._wake, delay)
+        else:
+            self._wake = self.sim.timeout(delay)
+            if self._proc is None or not self._proc.is_alive:
+                self._proc = self.sim.process(self._loop(), name=self.name)
+
+    def _loop(self) -> ProcessGen:
+        while self._wake is not None:
+            yield self._wake
+            self._wake = None
+            self.fire()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import FluidResource
-from repro.simcore import Simulator
+from repro.simcore import Process, Simulator
 
 
 def test_single_job_rate():
@@ -114,3 +114,38 @@ def test_tiny_residuals_terminate():
     evs = [f.submit(200e6 / 3 + 1e-7) for _ in range(3)]
     sim.run(max_events=100_000)
     assert all(e.triggered for e in evs)
+
+
+class _WakerDispatches:
+    """Kernel observer counting dispatches that resume the fluid waker."""
+
+    def __init__(self):
+        self.count = 0
+
+    def on_event(self, sim, event, t):
+        for cb in event.callbacks or ():
+            owner = getattr(cb, "__self__", None)
+            if isinstance(owner, Process) and owner.name == "fluid-waker":
+                self.count += 1
+
+
+def test_one_waker_is_moved_not_respawned():
+    sim = Simulator()
+    f = FluidResource(sim, capacity=4.0)
+    dispatches = _WakerDispatches()
+    sim.attach_observer(dispatches)
+    evs = []
+
+    def arrivals(sim):
+        # three staggered arrivals in one busy period, one more after it
+        for at in (0.0, 0.5, 0.75, 10.0):
+            yield sim.timeout(at - sim.now)
+            evs.append(f.submit(4.0))
+    sim.process(arrivals(sim))
+    sim.run()
+    ends = {round(ev.value + start, 9)
+            for ev, start in zip(evs, (0.0, 0.5, 0.75, 10.0))}
+    assert len(ends) == 4
+    # per busy period the waker's start, then one wake-up per completion
+    # instant; every arrival moves the pending wake-up instead
+    assert dispatches.count == 2 + len(ends)

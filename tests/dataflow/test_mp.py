@@ -387,15 +387,14 @@ def test_spawn_start_method_smoke():
 # -- simulated engine integration ------------------------------------------
 
 
-def _sim_collect(build, backend=None, pool_prefetch=True):
-    from repro.dataflow import EngineConfig
+def _sim_collect(build, backend=None):
     sim = Simulator()
     cluster = make_cluster(sim, 2, 2)
     ctx = DataflowContext(default_parallelism=4)
     if backend is not None:
         ctx.attach_pool(backend)
         ctx.backend = "pool"
-    eng = SimEngine(cluster, EngineConfig(pool_prefetch=pool_prefetch))
+    eng = SimEngine(cluster)
     ev = eng.collect(build(ctx))
     sim.run()
     res = ev.value
@@ -408,11 +407,9 @@ def test_engine_pool_prefetch_identical_results_and_schedule(pool):
                          .filter(lambda x: x % 2 == 0))
     v_local, m_local = _sim_collect(build)
     v_pool, m_pool = _sim_collect(build, backend=pool)
-    v_off, m_off = _sim_collect(build, backend=pool, pool_prefetch=False)
-    assert v_local == v_pool == v_off
+    assert v_local == v_pool
     assert m_local.pool_prefetched == 0
     assert m_pool.pool_prefetched == 4
-    assert m_off.pool_prefetched == 0
     # prefetch must not perturb the simulated schedule
     assert m_local.duration == m_pool.duration
 

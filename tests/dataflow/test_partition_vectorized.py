@@ -2,7 +2,8 @@
 and byte-identity of the vectorized shuffle write.
 
 The contract under test: ``partition_many(keys)[i] == partition(keys[i])``
-for every key the scalar path accepts, and ``write_buckets`` produces
+for every key the scalar path accepts, and ``write_buckets`` (fed the
+map-side-combined items, as every executor feeds it) produces
 *identical* buckets (contents and order) to the per-record reference
 ``_write_buckets_scalar`` — the oracle no executor runs, kept so the
 vectorized writer can never change a job's output, only its speed.
@@ -154,8 +155,12 @@ def _dep(partitioner, aggregator=None, combine=False):
 
 
 def _both_legs(dep, records):
+    """The executors' path (map-side combine, then ``write_buckets``)
+    against the scalar oracle, which combines the raw records itself."""
     cost = CostModel()
-    vec = shuffleio.write_buckets(dep, records, cost, SizeEstimator(cost))
+    items = (shuffleio._combine(dep, records) if dep.map_side_combine
+             else records)
+    vec = shuffleio.write_buckets(dep, items, cost, SizeEstimator(cost))
     scalar = shuffleio._write_buckets_scalar(dep, records, cost)
     return vec, scalar
 

@@ -1,9 +1,11 @@
 """DES kernel: clock, processes, joins, interrupts, determinism."""
 
+import math
+
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simcore import Interrupt, Simulator
+from repro.simcore import Alarm, Interrupt, Simulator
 
 
 def test_timeout_advances_clock():
@@ -341,3 +343,60 @@ def test_reschedule_rejects_negative_delay():
     wake = sim.timeout(1.0)
     with pytest.raises(SimulationError):
         sim.reschedule(wake, -1.0)
+
+
+class TestAlarm:
+    @staticmethod
+    def _alarm(sim, fire=None):
+        fired = []
+
+        def record():
+            fired.append((sim.now, sim.active_process))
+            if fire is not None:
+                fire()
+        return Alarm(sim, record, "alarm"), fired
+
+    def test_second_set_moves_the_pending_wake_up(self):
+        sim = Simulator()
+        alarm, fired = self._alarm(sim)
+        alarm.set(5.0)
+        alarm.set(2.0)
+        assert sim.run() == 2.0
+        assert [t for t, _ in fired] == [2.0]
+        # the process's start, one wake-up and the process's own end
+        assert sim.events_processed == 3
+
+    def test_rearming_from_fire_keeps_the_process(self):
+        sim = Simulator()
+        alarm, fired = self._alarm(
+            sim, lambda: alarm.set(1.0) if len(fired) < 3 else None)
+        alarm.set(1.0)
+        sim.run()
+        assert [t for t, _ in fired] == [1.0, 2.0, 3.0]
+        procs = {p for _, p in fired}
+        assert len(procs) == 1
+        (proc,) = procs
+        assert proc.name == "alarm" and not proc.is_alive
+
+    def test_arming_after_a_busy_period_starts_one_new_process(self):
+        sim = Simulator()
+        alarm, fired = self._alarm(sim)
+        alarm.set(1.0)
+        sim.run()
+        first = fired[0][1]
+        assert not first.is_alive
+        alarm.set(3.0)
+        alarm.set(1.0)
+        sim.run()
+        assert [t for t, _ in fired] == [1.0, 2.0]
+        assert fired[1][1] is not first
+        # per busy period: the process's start, one wake-up and its end
+        assert sim.events_processed == 6
+
+    def test_sub_ulp_delay_is_clamped(self):
+        sim = Simulator(start_time=1e6)
+        alarm, fired = self._alarm(sim)
+        alarm.set(1e-20)
+        sim.run()
+        assert fired and sim.now > 1e6
+        assert sim.now == 1e6 + 4.0 * math.ulp(1e6)

@@ -1,5 +1,7 @@
 """The `python -m repro` experiment runner."""
 
+import ast
+
 import pytest
 
 from repro.__main__ import discover, main
@@ -15,6 +17,19 @@ class TestDiscovery:
         for exp_id, path in discover().items():
             assert path.name.startswith(f"bench_{exp_id}_")
             assert path.exists()
+
+    def test_only_letter_digit_ids(self):
+        exps = discover()
+        assert "chaos" not in exps     # bench_chaos_overhead.py is a guard
+        for exp_id in exps:
+            assert exp_id[0].isalpha() and exp_id[1:].isdigit()
+
+    def test_every_experiment_defines_its_runner(self):
+        for exp_id, path in discover().items():
+            tree = ast.parse(path.read_text())
+            defined = {node.name for node in tree.body
+                       if isinstance(node, ast.FunctionDef)}
+            assert f"run_{exp_id}" in defined, path.name
 
 
 class TestCli:
