@@ -29,6 +29,10 @@ def test_layer_oracle(layer, seed):
     assert report.ok, f"{layer} seed={seed}: {report.failures}"
     assert report.failures == []
     assert report.checks
+    if layer == "integrity":
+        # every seed's corruption plan must land, not just the sum over
+        # seeds: a seed that injects nothing makes its oracle vacuous
+        assert report.injections > 0, f"seed={seed} injected nothing"
 
 
 def test_run_all_covers_every_layer():
