@@ -330,8 +330,7 @@ def snapshot_corrupt_times(plan: FaultPlan) -> List[float]:
 
     ``data_corrupt`` events map onto ``corrupt_times`` of
     :func:`~repro.streaming.checkpoint.run_stateful_stream` /
-    ``run_windowed_stream`` (which require
-    ``CheckpointConfig(integrity=True)``); each rots the newest intact
+    ``run_windowed_stream``; each rots the newest intact (sealed)
     checkpoint snapshot at that event time.
     """
     return [ev.time for ev in plan if ev.kind == "data_corrupt"]

@@ -150,7 +150,9 @@ def _run_dataflow(seed: int, plan: Optional[FaultPlan],
         ClusterChaos(cluster, plan, trace).start()
         EngineChaos(engine, plan, trace).start()
     res = sim.run_until_done(engine.collect(ds))
-    return sorted(res.value), trace, len(words)
+    account = (engine.integrity_detected, engine.integrity_latent_discarded,
+               len(engine.audit_shuffle_integrity()))
+    return sorted(res.value), trace, len(words), account
 
 
 def check_dataflow(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport:
@@ -167,9 +169,9 @@ def check_dataflow(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport:
             targets=node_names, mean_duration=0.08)
     report = OracleReport("dataflow", seed, plan)
     monitor = lambda sim: _heap_monitor(sim, report, period=0.02)
-    free, _t, n_records = _run_dataflow(seed, None)
-    faulted1, trace1, _ = _run_dataflow(seed, plan, monitor)
-    faulted2, trace2, _ = _run_dataflow(seed, plan, monitor)
+    free, _t, n_records, _a = _run_dataflow(seed, None)
+    faulted1, trace1, _, _a1 = _run_dataflow(seed, plan, monitor)
+    faulted2, trace2, _, _a2 = _run_dataflow(seed, plan, monitor)
     report.injections = len(trace1)
     report.expect(_bytes(faulted1) == _bytes(free), "recovery_equivalence")
     report.expect(trace1.signature() == trace2.signature(),
@@ -381,12 +383,21 @@ def check_event_streaming(seed: int,
 
 # --------------------------------------------------------------------- dfs
 
-def _run_dfs(seed: int, plan: Optional[FaultPlan], horizon: float):
+def _run_dfs(seed: int, plan: Optional[FaultPlan], horizon: float,
+             scrub: bool = False):
+    """Replicated + EC files under ``plan``, read back after the horizon.
+
+    With ``scrub`` the background scrubber runs, and one closing scrub
+    pass flushes any still-latent rot into quarantine + repair before
+    the reads.  Returns the written and read bytes, the filesystem (for
+    its counters and simulator) and the injection trace.
+    """
     sim = Simulator()
     cluster = make_cluster(sim, n_racks=3, nodes_per_rack=3)
     dfs = DistributedFS(cluster,
                         DFSConfig(block_size=64 * 1024, ec_k=4, ec_m=2,
-                                  detection_delay=1.0),
+                                  detection_delay=1.0,
+                                  scrub_interval=6.0 if scrub else 0.0),
                         seed=7)
     rng = np.random.default_rng([seed, 303])
     data_rep = rng.bytes(150_000)
@@ -400,10 +411,12 @@ def _run_dfs(seed: int, plan: Optional[FaultPlan], horizon: float):
         ClusterChaos(cluster, plan, trace).start()
         DFSChaos(dfs, plan, trace).start()
     sim.run(until=horizon + 30.0)
+    if scrub:
+        sim.run_until_done(dfs.scrub_now())
+        sim.run(until=sim.now + 30.0)
     got_rep, _ = sim.run_until_done(dfs.read("/rep.bin", reader="h2_0"))
     got_ec, _ = sim.run_until_done(dfs.read("/ec.bin", reader="h0_1"))
-    counters = (dfs.repairs_started, dfs.degraded_reads)
-    return (data_rep, data_ec, got_rep, got_ec, counters, trace, sim)
+    return data_rep, data_ec, got_rep, got_ec, dfs, trace
 
 
 def check_dfs(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport:
@@ -416,10 +429,11 @@ def check_dfs(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport:
             rates={"node_fail": 0.02, "lost_block": 0.05},
             targets=node_names, mean_duration=5.0)
     report = OracleReport("dfs", seed, plan)
-    want_rep, want_ec, got_rep, got_ec, c1, trace1, sim1 = \
+    want_rep, want_ec, got_rep, got_ec, fs1, trace1 = \
         _run_dfs(seed, plan, horizon)
-    _wr, _we, got_rep2, got_ec2, c2, trace2, _s2 = \
-        _run_dfs(seed, plan, horizon)
+    _wr, _we, got_rep2, got_ec2, fs2, trace2 = _run_dfs(seed, plan, horizon)
+    c1 = (fs1.repairs_started, fs1.degraded_reads)
+    c2 = (fs2.repairs_started, fs2.degraded_reads)
     report.injections = len(trace1)
     report.expect(got_rep == want_rep, "replicated_read_equivalence")
     report.expect(got_ec == want_ec, "ec_read_equivalence")
@@ -428,7 +442,7 @@ def check_dfs(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport:
     report.expect((got_rep2, got_ec2, c2) == (got_rep, got_ec, c1),
                   "result_determinism")
     try:
-        sim1._queue.check_invariants()
+        fs1.sim._queue.check_invariants()
         report.expect(True, "heap_invariants")
     except AssertionError:
         report.expect(False, "heap_invariants")
@@ -501,10 +515,10 @@ def check_resilience(seed: int,
                           seed=seed),
         hedge=HedgePolicy(multiplier=3.0),
         deadline_timeout=1e6)
-    free, _t0, n_records = _run_dataflow(seed, None)
-    free_pol, _t1, _ = _run_dataflow(seed, None, policies=policies)
-    faulted1, trace1, _ = _run_dataflow(seed, plan, policies=policies)
-    faulted2, trace2, _ = _run_dataflow(seed, plan, policies=policies)
+    free, _t0, n_records, _a = _run_dataflow(seed, None)
+    free_pol, _t1, _, _a1 = _run_dataflow(seed, None, policies=policies)
+    faulted1, trace1, _, _a2 = _run_dataflow(seed, plan, policies=policies)
+    faulted2, trace2, _, _a3 = _run_dataflow(seed, plan, policies=policies)
     report.injections = len(trace1)
     report.expect(_bytes(free_pol) == _bytes(free), "idle_policy_equivalence")
     report.expect(_bytes(faulted1) == _bytes(free), "recovery_equivalence")
@@ -635,52 +649,8 @@ def check_serve(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport:
 
 # --------------------------------------------------------------------- integrity
 
-def _run_dataflow_corrupt(seed: int, plan: Optional[FaultPlan]):
-    """Wordcount with silent shuffle corruption; returns the accounting."""
-    sim = Simulator()
-    cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)
-    ctx = DataflowContext(default_parallelism=8)
-    engine = SimEngine(cluster,
-                       config=EngineConfig(resilience=_ORACLE_RETRY),
-                       cost_model=CostModel(cpu_per_record=2e-4))
-    words = _dataflow_words(seed)
-    ds = ctx.parallelize(words, 8).map(lambda w: (w, 1)).reduce_by_key(add, 6)
-    trace = InjectionTrace()
-    if plan is not None:
-        ClusterChaos(cluster, plan, trace).start()
-        EngineChaos(engine, plan, trace).start()
-    res = sim.run_until_done(engine.collect(ds))
-    account = (engine.integrity_detected, engine.integrity_latent_discarded,
-               len(engine.audit_shuffle_integrity()))
-    return sorted(res.value), trace, len(words), account
-
-
-def _run_dfs_integrity(seed: int, plan: Optional[FaultPlan], horizon: float):
-    """DFS run with the background scrubber on and a closing scrub pass."""
-    sim = Simulator()
-    cluster = make_cluster(sim, n_racks=3, nodes_per_rack=3)
-    dfs = DistributedFS(cluster,
-                        DFSConfig(block_size=64 * 1024, ec_k=4, ec_m=2,
-                                  detection_delay=1.0, scrub_interval=6.0),
-                        seed=7)
-    rng = np.random.default_rng([seed, 303])
-    data_rep = rng.bytes(150_000)
-    data_ec = rng.bytes(200_000)
-    sim.run_until_done(dfs.write("/rep.bin", data=data_rep,
-                                 writer="h0_0", mode="replicate"))
-    sim.run_until_done(dfs.write("/ec.bin", data=data_ec,
-                                 writer="h1_0", mode="ec"))
-    trace = InjectionTrace()
-    if plan is not None:
-        ClusterChaos(cluster, plan, trace).start()
-        DFSChaos(dfs, plan, trace).start()
-    sim.run(until=horizon + 30.0)
-    # close the books: one full scrub pass flushes any still-latent rot
-    # into quarantine + repair, then leave room for the repairs to land
-    sim.run_until_done(dfs.scrub_now())
-    sim.run(until=sim.now + 30.0)
-    got_rep, _ = sim.run_until_done(dfs.read("/rep.bin", reader="h2_0"))
-    got_ec, _ = sim.run_until_done(dfs.read("/ec.bin", reader="h0_1"))
+def _dfs_books(dfs: DistributedFS):
+    """Integrity account and whether full protection is restored."""
     account = (dfs.integrity_detected, dfs.integrity_latent_discarded,
                len(dfs.audit_integrity()))
     protection = all(
@@ -688,7 +658,7 @@ def _run_dfs_integrity(seed: int, plan: Optional[FaultPlan], horizon: float):
                              if b.mode == "replicate"
                              else dfs.codec.k + dfs.codec.m)
         for b in dfs._blocks.values())
-    return data_rep, data_ec, got_rep, got_ec, account, protection, trace
+    return account, protection
 
 
 def check_integrity(seed: int,
@@ -711,8 +681,7 @@ def check_integrity(seed: int,
        must be restored (never repaired *from* a corrupt copy).
     3. **Streaming** — stateful and windowed checkpoint/replay with
        crashes *and* rotting snapshots; state and the emission log must
-       be byte-equal to fault-free, and the sealed-checkpoint mode must
-       be output-equivalent to the plain one.
+       be byte-equal to fault-free.
 
     ``plan``, when given, drives all three legs; the default builds one
     per leg calibrated to its workload's time scale.
@@ -732,10 +701,10 @@ def check_integrity(seed: int,
                           else engine_plans["composed"])
 
     # -- leg 1: engine shuffle buckets
-    free, _t, n_records, _a = _run_dataflow_corrupt(seed, None)
+    free, _t, n_records, _a = _run_dataflow(seed, None)
     for label, eplan in engine_plans.items():
-        f1, trace1, _n, acc1 = _run_dataflow_corrupt(seed, eplan)
-        f2, trace2, _n2, acc2 = _run_dataflow_corrupt(seed, eplan)
+        f1, trace1, _n, acc1 = _run_dataflow(seed, eplan)
+        f2, trace2, _n2, acc2 = _run_dataflow(seed, eplan)
         injected = trace1.count("data_corrupt")
         report.injections += injected
         detected, discarded, latent = acc1
@@ -757,10 +726,12 @@ def check_integrity(seed: int,
         seed, horizon=horizon,
         rates={"data_corrupt": 0.12, "node_fail": 0.02},
         targets=dfs_names, mean_duration=5.0)
-    want_rep, want_ec, got_rep, got_ec, dacc1, prot1, dtrace1 = \
-        _run_dfs_integrity(seed, dplan, horizon)
-    _wr, _we, got_rep2, got_ec2, dacc2, prot2, dtrace2 = \
-        _run_dfs_integrity(seed, dplan, horizon)
+    want_rep, want_ec, got_rep, got_ec, dfs1, dtrace1 = \
+        _run_dfs(seed, dplan, horizon, scrub=True)
+    _wr, _we, got_rep2, got_ec2, dfs2, dtrace2 = \
+        _run_dfs(seed, dplan, horizon, scrub=True)
+    dacc1, prot1 = _dfs_books(dfs1)
+    dacc2, prot2 = _dfs_books(dfs2)
     injected = dtrace1.count("data_corrupt")
     report.injections += injected
     detected, discarded, latent = dacc1
@@ -783,20 +754,16 @@ def check_integrity(seed: int,
     crashes = operator_crash_times(splan)
     corruptions = snapshot_corrupt_times(splan)
     events = _stream_events(seed)
-    plain_cfg = CheckpointConfig(interval=10.0)
-    sealed_cfg = CheckpointConfig(interval=10.0, integrity=True)
-    base = run_stateful_stream(events, add, lambda v: v, plain_cfg)
-    sealed_free = run_stateful_stream(events, add, lambda v: v, sealed_cfg)
-    s1 = run_stateful_stream(events, add, lambda v: v, sealed_cfg,
+    cfg = CheckpointConfig(interval=10.0)
+    base = run_stateful_stream(events, add, lambda v: v, cfg)
+    s1 = run_stateful_stream(events, add, lambda v: v, cfg,
                              crash_times=crashes,
                              corrupt_times=corruptions)
-    s2 = run_stateful_stream(events, add, lambda v: v, sealed_cfg,
+    s2 = run_stateful_stream(events, add, lambda v: v, cfg,
                              crash_times=crashes,
                              corrupt_times=corruptions)
     reg = s1.registry
     report.injections += int(reg.value("integrity.injected"))
-    report.expect(_bytes(sealed_free.state) == _bytes(base.state),
-                  "stream:integrity_flag_equivalence")
     report.expect(_bytes(s1.state) == _bytes(base.state),
                   "stream:recovery_equivalence")
     report.expect(_bytes(s1.state) == _bytes(s2.state),
@@ -820,9 +787,8 @@ def check_integrity(seed: int,
     window = WindowSpec.tumbling(2.0)
     agg = WindowAgg.by_name("sum")
     wkw = dict(watermark_delay=1.0, allowed_lateness=1.0)
-    wcfg = CheckpointConfig(interval=8.0, integrity=True)
-    wfree = run_windowed_stream(wevents, window, agg,
-                                CheckpointConfig(interval=8.0), **wkw)
+    wcfg = CheckpointConfig(interval=8.0)
+    wfree = run_windowed_stream(wevents, window, agg, wcfg, **wkw)
     w1 = run_windowed_stream(wevents, window, agg, wcfg,
                              crash_times=wcrashes,
                              corrupt_times=wcorruptions, **wkw)

@@ -56,7 +56,6 @@ class DFSConfig:
     rack_aware: bool = True
     auto_repair: bool = True
     detection_delay: float = 5.0         # seconds until a failure is acted on
-    checksums: bool = True               # verify chunk CRCs on every read
     chunk_size: int = integrity.CHUNK_SIZE
     scrub_interval: float = 0.0          # seconds between scrub passes; 0 = off
     scrub_rate: float = MB(64)           # scrub verify throughput (bytes/s)
@@ -531,11 +530,10 @@ class DistributedFS:
         return None
 
     def _store_piece(self, block_id: int, slot: int, data: bytes) -> None:
-        """Store one replica/fragment payload, sealing it when enabled."""
+        """Store and seal one replica/fragment payload."""
         self._content[(block_id, slot)] = data
-        if self.config.checksums:
-            self._seals[(block_id, slot)] = integrity.seal(
-                data, self.config.chunk_size)
+        self._seals[(block_id, slot)] = integrity.seal(
+            data, self.config.chunk_size)
 
     def _copy_piece(self, block_id: int, src_slot: int, dst_slot: int) -> None:
         """Clone a verified piece (bytes + seal) into another slot."""
@@ -549,10 +547,8 @@ class DistributedFS:
         """Silent verification (no counters, no traces) of one piece.
 
         True when the stored bytes match their seal, or there is nothing
-        to verify (size-only file, checksums disabled, missing seal).
+        to verify (size-only file, missing seal).
         """
-        if not self.config.checksums:
-            return True
         key = (block_id, slot)
         data = self._content.get(key)
         s = self._seals.get(key)
@@ -567,8 +563,6 @@ class DistributedFS:
     def _verify_piece(self, block: BlockInfo, slot: int) -> bool:
         """Counted verification: False (and ``integrity.detected`` +1,
         trace instant) when the stored piece fails its checksums."""
-        if not self.config.checksums:
-            return True
         key = (block.block_id, slot)
         data = self._content.get(key)
         s = self._seals.get(key)
@@ -966,20 +960,10 @@ class DistributedFS:
         """
         done = self.sim.event()
 
-        def _usage() -> Dict[str, float]:
-            usage = {n.name: 0.0 for n in self.cluster.live_nodes()}
-            for b in self._blocks.values():
-                size = (b.size if b.mode == "replicate"
-                        else self.codec.fragment_size(b.size))
-                for node in b.locations.values():
-                    if node in usage:
-                        usage[node] += size
-            return usage
-
         def _proc(sim: Simulator):
             moves = 0
             for _round in range(10_000):
-                usage = _usage()
+                usage = self.node_usage()
                 if len(usage) < 2:
                     break
                 mean = sum(usage.values()) / len(usage)

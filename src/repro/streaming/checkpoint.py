@@ -13,21 +13,20 @@ State correctness is real: after recovery the operator state equals the
 no-failure run's state exactly (tests assert it), demonstrating
 exactly-once state semantics via replay.
 
-With ``CheckpointConfig(integrity=True)`` snapshots are stored as sealed
-pickle blobs (chunk CRCs, see :mod:`repro.storage.integrity`) and the
-runs accept ``corrupt_times`` — instants at which a silent bit-flip rots
-the newest intact snapshot.  Recovery then *verifies* each candidate
-checkpoint and falls back past corrupt ones (counting them), so a
-crash after corruption still restores exactly-once state — it just
-replays from an older offset.  The genesis snapshot is never corrupted,
-so recovery always terminates.
+Snapshots are stored as sealed pickle blobs (chunk CRCs, see
+:mod:`repro.storage.integrity`), and both runs accept ``corrupt_times``
+— instants at which a silent bit-flip rots the newest intact snapshot.
+Recovery *verifies* each candidate checkpoint and falls back past
+corrupt ones (counting them), so a crash after corruption still
+restores exactly-once state — it just replays from an older offset.
+The genesis snapshot is never corrupted, so recovery always terminates.
 """
 
 from __future__ import annotations
 
-import copy
 import pickle
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -50,8 +49,6 @@ class CheckpointConfig:
     checkpoint_cost: float = 0.2      # seconds of pipeline stall per snapshot
     replay_speedup: float = 4.0       # replay runs this much faster than live
     recovery_fixed_cost: float = 1.0  # restart + state-load seconds
-    integrity: bool = False           # seal snapshots as checksummed blobs;
-    # required for corrupt_times, verified at every recovery
 
     def __post_init__(self) -> None:
         if self.interval <= 0 or self.checkpoint_cost < 0:
@@ -63,21 +60,19 @@ class CheckpointConfig:
 class _SnapshotLog:
     """The checkpoint store behind both streaming runs.
 
-    Unsealed (the default) it holds entries exactly as before —
-    ``(t, payload, *extras)`` — and recovery picks the newest one at or
-    before the crash.  Sealed (``integrity=True``) each payload is a
-    pickled blob with a chunk-CRC :class:`~repro.storage.integrity.Seal`
-    riding last in the tuple; recovery *verifies* candidates and falls
-    back past corrupt ones, and the chaos ``data_corrupt`` adapter rots
-    blobs through :meth:`corrupt`.  Counters keep the oracle's identity
-    exact: ``injected == detected + latent`` (a detected snapshot is
-    deleted, so it is counted at most once; :meth:`audit_latent` closes
-    the books on blobs that rotted but were never read).
+    Each entry is ``(t, blob, offset, emitted, seal)``: the operator
+    state pickled — which also isolates it from later in-place mutation
+    of the live state — with a chunk-CRC
+    :class:`~repro.storage.integrity.Seal` over the blob.  Recovery
+    *verifies* candidates and falls back past corrupt ones, and the
+    chaos ``data_corrupt`` adapter rots blobs through :meth:`corrupt`.
+    Counters keep the oracle's identity exact:
+    ``injected == detected + latent`` (a detected snapshot is deleted,
+    so it is counted at most once; :meth:`audit_latent` closes the books
+    on blobs that rotted but were never read).
     """
 
-    def __init__(self, sealed: bool, reg: MetricsRegistry,
-                 lane: Tuple[str, str]) -> None:
-        self.sealed = sealed
+    def __init__(self, reg: MetricsRegistry, lane: Tuple[str, str]) -> None:
         self.entries: List[Tuple] = []
         self.lane = lane
         self.c_injected = reg.counter("integrity.injected")
@@ -85,32 +80,25 @@ class _SnapshotLog:
         self.c_latent = reg.counter("integrity.latent")
         self._rotten: set = set()        # checkpoint times already corrupted
 
-    def append(self, t: float, payload, *extras) -> None:
-        if self.sealed:
-            blob = pickle.dumps(payload, protocol=4)
-            self.entries.append((t, blob) + extras + (integrity.seal(blob),))
-        else:
-            self.entries.append((t, payload) + extras)
+    def append(self, t: float, state, offset: int, emitted: int) -> None:
+        blob = pickle.dumps(state, protocol=4)
+        self.entries.append((t, blob, offset, emitted, integrity.seal(blob)))
 
-    def pick(self, t_max: float) -> Tuple[float, Any, Tuple]:
+    def pick(self, t_max: float) -> Tuple[float, Any, int, int]:
         """Newest verifiable entry at or before ``t_max``.
 
-        Returns ``(t, payload, extras)``; sealed payloads come back
-        unpickled (a fresh object — the stored blob stays pristine).
-        Corrupt candidates are counted, dropped from the log, and
-        skipped; the genesis snapshot is never corrupted, so this always
-        returns.
+        Returns ``(t, state, offset, emitted)`` with the state unpickled
+        (a fresh object — the stored blob stays pristine).  Corrupt
+        candidates are counted, dropped from the log, and skipped; the
+        genesis snapshot is never corrupted, so this always returns.
         """
         tr = obs_trace.get_tracer()
         for pos in range(len(self.entries) - 1, -1, -1):
-            entry = self.entries[pos]
-            if entry[0] > t_max:
+            t, blob, offset, emitted, seal = self.entries[pos]
+            if t > t_max:
                 continue
-            if not self.sealed:
-                return entry[0], entry[1], entry[2:]
-            t, blob = entry[0], entry[1]
             try:
-                integrity.verify(blob, entry[-1], layer="checkpoint",
+                integrity.verify(blob, seal, layer="checkpoint",
                                  path=f"ckpt@{t:g}")
             except ChecksumError:
                 self.c_detected.inc()
@@ -119,7 +107,7 @@ class _SnapshotLog:
                                cat="integrity", checkpoint=t)
                 del self.entries[pos]
                 continue
-            return t, pickle.loads(blob), entry[2:-1]
+            return t, pickle.loads(blob), offset, emitted
         raise StreamingError("no usable checkpoint")
 
     def corrupt(self, at: float) -> bool:
@@ -131,8 +119,6 @@ class _SnapshotLog:
         already-rotten blob is never hit twice; returns False — nothing
         counted — when no eligible snapshot exists yet.
         """
-        if not self.sealed:
-            raise StreamingError("corrupt_times requires integrity=True")
         for pos in range(len(self.entries) - 1, 0, -1):
             entry = self.entries[pos]
             if entry[0] in self._rotten:
@@ -148,8 +134,6 @@ class _SnapshotLog:
 
     def audit_latent(self) -> int:
         """End-of-run audit: corrupt snapshots that were never read."""
-        if not self.sealed:
-            return 0
         latent = 0
         for entry in self.entries:
             try:
@@ -176,6 +160,114 @@ class RecoveryStats:
     checkpoint_offset: float        # event-time the state was rolled back to
     replayed_events: int
     recovery_seconds: float         # fixed cost + replay time
+
+
+def _run_checkpointed(
+    events: Sequence[Tuple],
+    feed: Callable[[Sequence[Tuple]], Sequence[WindowResult]],
+    snapshot: Callable[[], Any],
+    restore: Callable[[Any], None],
+    config: CheckpointConfig,
+    crash_times: Sequence[float],
+    corrupt_times: Sequence[float],
+    batch_records: int,
+    lane: Tuple[str, str],
+) -> Tuple[List[WindowResult], int, float, List[RecoveryStats],
+           MetricsRegistry]:
+    """The checkpoint / incident / replay loop behind both runs.
+
+    ``events`` are tuples whose first field is the arrival time; they
+    are pushed through the operator in arrival order, ``feed(slice)`` at
+    a time, and whatever ``feed`` returns joins the emission log.  Every
+    ``config.interval`` a checkpoint seals ``snapshot()`` together with
+    the source offset and the emission-log length.  A crash rolls both
+    back — ``restore`` the verified snapshot, **truncate** emissions
+    past it — and replays the source up to the crash instant, so state
+    and output end byte-identical to a crash-free run.  Batches hold at
+    most ``batch_records`` events and end at checkpoint boundaries and
+    incident instants, so snapshots and rollbacks align with batch
+    seams.
+
+    Returns ``(emissions, checkpoints, overhead, recoveries, registry)``.
+    """
+    if batch_records < 1:
+        raise StreamingError("batch_records must be positive")
+    events = sorted(events, key=lambda e: e[0])
+    times = [e[0] for e in events]
+    tr = obs_trace.get_tracer()
+    reg = MetricsRegistry()
+    snapshots = _SnapshotLog(reg, lane)
+    c_processed = reg.counter("ckpt.events_processed")
+    c_replayed = reg.counter("ckpt.events_replayed")
+    c_checkpoints = reg.counter("ckpt.checkpoints_taken")
+    c_crashes = reg.counter("ckpt.crashes")
+    c_truncated = reg.counter("ckpt.emissions_truncated")
+    h_recovery = reg.histogram("ckpt.recovery_seconds", lo=1e-3, hi=1e4)
+    emissions: List[WindowResult] = []
+    recoveries: List[RecoveryStats] = []
+    checkpoints = 0
+    overhead = 0.0
+    snapshots.append(0.0, snapshot(), 0, 0)
+
+    def incident(at: float, kind: str) -> None:
+        if kind == "corrupt":
+            snapshots.corrupt(at)
+            return
+        # roll state AND output back to the latest *verifiable* snapshot
+        # at or before the crash, then replay the source from its offset
+        ck_t, state, offset, emitted = snapshots.pick(at)
+        restore(state)
+        c_truncated.inc(len(emissions) - emitted)
+        del emissions[emitted:]
+        stop = bisect_right(times, at)
+        for lo in range(offset, stop, batch_records):
+            emissions.extend(feed(events[lo:min(lo + batch_records, stop)]))
+        replayed = stop - offset
+        replay_time = (at - ck_t) / config.replay_speedup
+        rec_seconds = config.recovery_fixed_cost + replay_time
+        recoveries.append(RecoveryStats(at, ck_t, replayed, rec_seconds))
+        c_crashes.inc()
+        c_replayed.inc(replayed)
+        h_recovery.observe(rec_seconds)
+        if tr is not None:
+            tr.instant("recovery", at, lane=lane, cat="recovery",
+                       rolled_back_to=ck_t, replayed=replayed,
+                       seconds=rec_seconds)
+
+    incidents = _merge_incidents(crash_times, corrupt_times)
+    k = 0
+    next_ckpt = config.interval
+    i = 0
+    while i < len(events):
+        t = times[i]
+        # incident (crash or corruption) strictly before this event?
+        if k < len(incidents) and incidents[k][0] < t:
+            incident(*incidents[k])
+            k += 1
+            continue
+        # checkpoint boundaries at or before this event
+        while next_ckpt <= t:
+            snapshots.append(next_ckpt, snapshot(), i, len(emissions))
+            checkpoints += 1
+            c_checkpoints.inc()
+            overhead += config.checkpoint_cost
+            if tr is not None:
+                tr.instant("checkpoint", next_ckpt, lane=lane,
+                           cat="checkpoint", offset=i,
+                           emitted=len(emissions))
+            next_ckpt += config.interval
+        hi = min(i + batch_records, bisect_left(times, next_ckpt, i),
+                 bisect_right(times, incidents[k][0], i)
+                 if k < len(incidents) else len(events))
+        emissions.extend(feed(events[i:hi]))
+        c_processed.inc(hi - i)
+        i = hi
+    # incidents at or after the last event's timestamp: crashes still
+    # roll back and replay the tail, and their cost is accounted
+    for at, kind in incidents[k:]:
+        incident(at, kind)
+    snapshots.audit_latent()
+    return emissions, checkpoints, overhead, recoveries, reg
 
 
 @dataclass
@@ -209,110 +301,28 @@ def run_stateful_stream(
     ``crash_times`` lists event-time instants at which the operator dies;
     each crash rolls state back to the latest checkpoint at or before the
     crash and replays the events in between (at ``replay_speedup``).
-    ``corrupt_times`` (requires ``config.integrity``) silently rot the
-    newest intact snapshot; recovery verifies and falls back past them.
-    The final state is exactly the state of a fault-free run.
+    ``corrupt_times`` silently rot the newest intact snapshot; recovery
+    verifies and falls back past them.  The final state is exactly the
+    state of a fault-free run.
     """
-    if corrupt_times and not config.integrity:
-        raise StreamingError("corrupt_times requires integrity=True")
-    events = sorted(events, key=lambda e: e[0])
     state: Dict[Hashable, object] = {}
-    checkpoints = 0
-    overhead = 0.0
-    recoveries: List[RecoveryStats] = []
-    tr = obs_trace.get_tracer()
-    reg = MetricsRegistry()
-    snapshots = _SnapshotLog(config.integrity, reg, ("stream", "stateful"))
-    snapshots.append(0.0, {}, 0)
-    c_processed = reg.counter("ckpt.events_processed")
-    c_replayed = reg.counter("ckpt.events_replayed")
-    c_checkpoints = reg.counter("ckpt.checkpoints_taken")
-    c_crashes = reg.counter("ckpt.crashes")
-    h_recovery = reg.histogram("ckpt.recovery_seconds", lo=1e-3, hi=1e4)
-    next_ckpt = config.interval
-    incident_iter = iter(_merge_incidents(crash_times, corrupt_times))
-    next_incident = next(incident_iter, None)
-    i = 0
-    processed = 0
 
-    def apply(ev):
-        _t, key, value = ev
-        if key in state:
-            state[key] = agg(state[key], value)
-        else:
-            state[key] = init(value)
+    def feed(batch: Sequence[Tuple[float, Hashable, object]]) -> list:
+        for _t, key, value in batch:
+            state[key] = agg(state[key], value) if key in state \
+                else init(value)
+        return []
 
-    def recover(crash_t: float) -> None:
-        # roll back to the latest *verifiable* snapshot at or before the
-        # crash, then replay the source from that offset
-        # (upstream-backup semantics).
-        nonlocal state
-        ck_t, ck_state, (ck_idx,) = snapshots.pick(crash_t)
-        replayed = 0
-        # deep copy: replay must never mutate the snapshot itself, or a
-        # second crash into the same checkpoint would see corrupted state
-        # (a sealed pick already unpickled a fresh object)
-        state = ck_state if config.integrity else copy.deepcopy(ck_state)
-        j = ck_idx
-        while j < len(events) and events[j][0] <= crash_t:
-            apply(events[j])
-            replayed += 1
-            j += 1
-        replay_time = (crash_t - ck_t) / config.replay_speedup
-        rec_seconds = config.recovery_fixed_cost + replay_time
-        recoveries.append(RecoveryStats(crash_t, ck_t, replayed, rec_seconds))
-        c_crashes.inc()
-        c_replayed.inc(replayed)
-        h_recovery.observe(rec_seconds)
-        if tr is not None:
-            tr.instant("recovery", crash_t, lane=("stream", "stateful"),
-                       cat="recovery", rolled_back_to=ck_t,
-                       replayed=replayed, seconds=rec_seconds)
+    def restore(snap: Dict[Hashable, object]) -> None:
+        state.clear()
+        state.update(snap)
 
-    while i < len(events):
-        t = events[i][0]
-        # incident (crash or corruption) strictly before this event?
-        if next_incident is not None and next_incident[0] < t:
-            if next_incident[1] == "crash":
-                recover(next_incident[0])
-            else:
-                snapshots.corrupt(next_incident[0])
-            next_incident = next(incident_iter, None)
-            continue
-        # checkpoint boundaries at or before this event
-        while next_ckpt <= t:
-            # deep copy: an ``agg`` that mutates values in place must not
-            # reach back into snapshots taken earlier (exactly-once replay
-            # depends on checkpoint immutability; a sealed log pickles,
-            # which copies)
-            snapshots.append(next_ckpt,
-                             state if config.integrity
-                             else copy.deepcopy(state), i)
-            checkpoints += 1
-            c_checkpoints.inc()
-            overhead += config.checkpoint_cost
-            if tr is not None:
-                tr.instant("checkpoint", next_ckpt,
-                           lane=("stream", "stateful"), cat="checkpoint",
-                           offset=i)
-            next_ckpt += config.interval
-        apply(events[i])
-        processed += 1
-        c_processed.inc()
-        i += 1
-
-    # drain incidents at or after the last event's timestamp: crashes
-    # still roll back and replay the tail, and their cost is accounted
-    while next_incident is not None:
-        if next_incident[1] == "crash":
-            recover(next_incident[0])
-        else:
-            snapshots.corrupt(next_incident[0])
-        next_incident = next(incident_iter, None)
-
-    snapshots.audit_latent()
-    return StatefulRun(state, processed, checkpoints, overhead, recoveries,
-                       registry=reg)
+    # the dict operator emits nothing and has no batch seams of its own
+    _e, checkpoints, overhead, recoveries, reg = _run_checkpointed(
+        events, feed, lambda: state, restore, config, crash_times,
+        corrupt_times, len(events) or 1, ("stream", "stateful"))
+    return StatefulRun(state, len(events), checkpoints, overhead,
+                       recoveries, registry=reg)
 
 
 @dataclass
@@ -359,114 +369,24 @@ def run_windowed_stream(
     run (exactly-once across windows, not just state).  Per-window
     accounting (``window_in`` / ``window_late``) snapshots and replays
     with the state, so ``assigned == window_in + window_late`` holds per
-    window regardless of the crash plan.
+    window regardless of the crash plan.  Any batch partitioning yields
+    identical emissions (the aggregator's batch path is byte-equivalent
+    to per-record feeding).
     """
-    if batch_records < 1:
-        raise StreamingError("batch_records must be positive")
-    if corrupt_times and not config.integrity:
-        raise StreamingError("corrupt_times requires integrity=True")
-    events = sorted(events, key=lambda e: e[0])
     aggr = VectorizedWindowAggregator(
         window, agg, watermark_delay=watermark_delay,
         allowed_lateness=allowed_lateness, vectorized=vectorized)
-    emissions: List[WindowResult] = []
-    checkpoints = 0
-    overhead = 0.0
-    recoveries: List[RecoveryStats] = []
-    tr = obs_trace.get_tracer()
-    reg = MetricsRegistry()
-    # (arrival-time, aggregator snapshot, event index, emissions length)
-    snapshots = _SnapshotLog(config.integrity, reg, ("stream", "windowed"))
-    snapshots.append(0.0, aggr.snapshot(), 0, 0)
-    c_processed = reg.counter("ckpt.events_processed")
-    c_replayed = reg.counter("ckpt.events_replayed")
-    c_checkpoints = reg.counter("ckpt.checkpoints_taken")
-    c_crashes = reg.counter("ckpt.crashes")
-    c_truncated = reg.counter("ckpt.emissions_truncated")
-    h_recovery = reg.histogram("ckpt.recovery_seconds", lo=1e-3, hi=1e4)
-    next_ckpt = config.interval
-    incident_iter = iter(_merge_incidents(crash_times, corrupt_times))
-    next_incident = next(incident_iter, None)
-    i = 0
-    processed = 0
 
-    def feed(lo: int, hi: int) -> List[WindowResult]:
-        batch = EventBatch.from_records([(e[1], e[2], e[3])
-                                         for e in events[lo:hi]])
-        return aggr.add_batch(batch)
+    def feed(batch: Sequence[Tuple[float, float, Hashable, Any]]) \
+            -> List[WindowResult]:
+        return aggr.add_batch(EventBatch.from_records(
+            [(e[1], e[2], e[3]) for e in batch]))
 
-    def recover(crash_t: float) -> None:
-        # roll back state AND output to the latest verifiable checkpoint
-        # at or before the crash; emissions past it were never committed
-        ck_t, snap, (ck_idx, ck_emit) = snapshots.pick(crash_t)
-        aggr.restore(snap)
-        c_truncated.inc(len(emissions) - ck_emit)
-        del emissions[ck_emit:]
-        j = ck_idx
-        replayed = 0
-        while j < len(events) and events[j][0] <= crash_t:
-            k = j
-            while (k < len(events) and events[k][0] <= crash_t
-                   and k - j < batch_records):
-                k += 1
-            emissions.extend(feed(j, k))
-            replayed += k - j
-            j = k
-        replay_time = (crash_t - ck_t) / config.replay_speedup
-        rec_seconds = config.recovery_fixed_cost + replay_time
-        recoveries.append(RecoveryStats(crash_t, ck_t, replayed, rec_seconds))
-        c_crashes.inc()
-        c_replayed.inc(replayed)
-        h_recovery.observe(rec_seconds)
-        if tr is not None:
-            tr.instant("recovery", crash_t, lane=("stream", "windowed"),
-                       cat="recovery", rolled_back_to=ck_t,
-                       replayed=replayed, seconds=rec_seconds)
-
-    while i < len(events):
-        t = events[i][0]
-        if next_incident is not None and next_incident[0] < t:
-            if next_incident[1] == "crash":
-                recover(next_incident[0])
-            else:
-                snapshots.corrupt(next_incident[0])
-            next_incident = next(incident_iter, None)
-            continue
-        while next_ckpt <= t:
-            snapshots.append(next_ckpt, aggr.snapshot(), i, len(emissions))
-            checkpoints += 1
-            c_checkpoints.inc()
-            overhead += config.checkpoint_cost
-            if tr is not None:
-                tr.instant("checkpoint", next_ckpt,
-                           lane=("stream", "windowed"), cat="checkpoint",
-                           offset=i, emitted=len(emissions))
-            next_ckpt += config.interval
-        # batch ends at the checkpoint boundary or crash instant, so
-        # snapshots and rollbacks always align with batch seams; any
-        # partitioning yields identical emissions (the aggregator's
-        # batch path is byte-equivalent to per-record feeding)
-        j = i
-        while (j < len(events) and j - i < batch_records
-               and events[j][0] < next_ckpt
-               and (next_incident is None
-                    or events[j][0] <= next_incident[0])):
-            j += 1
-        emissions.extend(feed(i, j))
-        processed += j - i
-        c_processed.inc(j - i)
-        i = j
-
-    while next_incident is not None:
-        if next_incident[1] == "crash":
-            recover(next_incident[0])
-        else:
-            snapshots.corrupt(next_incident[0])
-        next_incident = next(incident_iter, None)
-
-    snapshots.audit_latent()
+    emissions, checkpoints, overhead, recoveries, reg = _run_checkpointed(
+        events, feed, aggr.snapshot, aggr.restore, config, crash_times,
+        corrupt_times, batch_records, ("stream", "windowed"))
     emissions.extend(aggr.flush())
-    return WindowedRun(emissions, processed, checkpoints, overhead,
+    return WindowedRun(emissions, len(events), checkpoints, overhead,
                        recoveries, late_dropped=aggr.dropped,
                        window_in=dict(aggr.window_in),
                        window_late=dict(aggr.window_late),

@@ -65,18 +65,6 @@ class TestReplicatedDetection:
         got, _ = sim.run_until_done(fs.read("/f", reader="h2_0"))
         assert got == data
 
-    def test_checksums_off_serves_rot(self):
-        # the A/B control: with checksums disabled the corruption flows
-        # through silently — exactly the failure mode the plane removes
-        sim, cl, fs = setup(checksums=False)
-        data = payload()
-        write(sim, fs, "/f", data)
-        block = fs.blocks_of("/f")[0]
-        fs.corrupt_piece(block.block_id, 0)
-        got, _ = sim.run_until_done(fs.read("/f", reader="h0_0"))
-        assert got != data
-        assert fs.integrity_detected == 0
-
 
 class TestECDetection:
     def test_corrupt_fragment_excluded_from_decode(self):

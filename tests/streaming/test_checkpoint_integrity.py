@@ -4,7 +4,6 @@ import operator
 
 import pytest
 
-from repro.common.errors import StreamingError
 from repro.streaming import (
     CheckpointConfig,
     WindowAgg,
@@ -34,41 +33,6 @@ def counters(run):
                  for k in ("injected", "detected", "latent"))
 
 
-class TestValidation:
-    def test_corrupt_times_require_integrity(self):
-        with pytest.raises(StreamingError):
-            run_stateful_stream(make_events(50), AGG, INIT,
-                                CheckpointConfig(interval=10),
-                                corrupt_times=[5.0])
-
-    def test_windowed_corrupt_times_require_integrity(self):
-        with pytest.raises(StreamingError):
-            run_windowed_stream(
-                [(0.0, 0.0, "k", 1)], WindowSpec.tumbling(2.0),
-                WindowAgg.by_name("sum"), CheckpointConfig(interval=8),
-                corrupt_times=[5.0])
-
-
-class TestIntegrityFlagEquivalence:
-    def test_sealed_run_matches_plain_run(self):
-        # with no corruption, sealing is a pure representation change:
-        # the pickle round-trip must behave exactly like the deepcopy
-        events = make_events()
-        plain = run_stateful_stream(events, AGG, INIT,
-                                    CheckpointConfig(interval=20),
-                                    crash_times=[55.5, 140.5])
-        sealed = run_stateful_stream(
-            events, AGG, INIT,
-            CheckpointConfig(interval=20, integrity=True),
-            crash_times=[55.5, 140.5])
-        assert sealed.state == plain.state
-        assert sealed.checkpoints_taken == plain.checkpoints_taken
-        assert [(r.checkpoint_offset, r.replayed_events)
-                for r in sealed.recoveries] == \
-            [(r.checkpoint_offset, r.replayed_events)
-             for r in plain.recoveries]
-
-
 class TestCorruptionFallback:
     def test_crash_falls_back_past_rotten_snapshot(self):
         events = make_events(300)
@@ -79,7 +43,7 @@ class TestCorruptionFallback:
         # recovery must verify, skip it, and restart from t=50
         run = run_stateful_stream(
             events, AGG, INIT,
-            CheckpointConfig(interval=50, integrity=True),
+            CheckpointConfig(interval=50),
             crash_times=[123.5], corrupt_times=[110.0])
         assert run.state == crash_free_state(events)
         assert run.state == clean.state
@@ -94,7 +58,7 @@ class TestCorruptionFallback:
         events = make_events(200)
         run = run_stateful_stream(
             events, AGG, INIT,
-            CheckpointConfig(interval=40, integrity=True),
+            CheckpointConfig(interval=40),
             corrupt_times=[90.0])
         assert run.state == crash_free_state(events)
         assert not run.recoveries
@@ -106,7 +70,7 @@ class TestCorruptionFallback:
         events = make_events(120)
         run = run_stateful_stream(
             events, AGG, INIT,
-            CheckpointConfig(interval=30, integrity=True),
+            CheckpointConfig(interval=30),
             crash_times=[95.5],
             corrupt_times=[91.0, 92.0, 93.0, 94.0, 95.0])
         assert run.state == crash_free_state(events)
@@ -121,7 +85,7 @@ class TestCorruptionFallback:
         events = make_events(100)
         run = run_stateful_stream(
             events, AGG, INIT,
-            CheckpointConfig(interval=40, integrity=True),
+            CheckpointConfig(interval=40),
             corrupt_times=[5.0])                # only genesis exists: exempt
         assert run.state == crash_free_state(events)
         assert counters(run) == (0, 0, 0)
@@ -130,7 +94,7 @@ class TestCorruptionFallback:
         events = make_events(400)
         run = run_stateful_stream(
             events, AGG, INIT,
-            CheckpointConfig(interval=25, integrity=True),
+            CheckpointConfig(interval=25),
             crash_times=[120.5, 290.5],
             corrupt_times=[60.0, 110.0, 200.0, 285.0])
         assert run.state == crash_free_state(events)
@@ -147,7 +111,7 @@ class TestWindowedCorruption:
             CheckpointConfig(interval=8))
         run = run_windowed_stream(
             events, WindowSpec.tumbling(2.0), WindowAgg.by_name("sum"),
-            CheckpointConfig(interval=8, integrity=True),
+            CheckpointConfig(interval=8),
             crash_times=[37.5, 70.5], corrupt_times=[35.0, 66.0])
         assert run.emissions == clean.emissions
         assert run.processed_events == clean.processed_events
@@ -156,18 +120,48 @@ class TestWindowedCorruption:
         assert injected == 2
         assert injected == detected + latent
 
-    def test_windowed_sealed_equals_plain_when_clean(self):
-        events = [(float(i), float(i), i % 5, i) for i in range(80)]
-        kw = dict(watermark_delay=1.0, allowed_lateness=1.0)
-        plain = run_windowed_stream(
-            events, WindowSpec.tumbling(4.0), WindowAgg.by_name("max"),
-            CheckpointConfig(interval=10), crash_times=[33.5], **kw)
-        sealed = run_windowed_stream(
-            events, WindowSpec.tumbling(4.0), WindowAgg.by_name("max"),
-            CheckpointConfig(interval=10, integrity=True),
-            crash_times=[33.5], **kw)
-        assert sealed.emissions == plain.emissions
-        assert sealed.late_dropped == plain.late_dropped
+
+def _stateful(crash_times, corrupt_times):
+    events = make_events(100)
+    run = run_stateful_stream(events, AGG, INIT,
+                              CheckpointConfig(interval=25),
+                              crash_times=crash_times,
+                              corrupt_times=corrupt_times)
+    assert run.state == crash_free_state(events)
+    return run
+
+
+def _windowed(crash_times, corrupt_times):
+    events = [(float(i), float(i), i % 3, 1) for i in range(100)]
+    window, agg = WindowSpec.tumbling(2.0), WindowAgg.by_name("sum")
+    clean = run_windowed_stream(events, window, agg,
+                                CheckpointConfig(interval=25))
+    run = run_windowed_stream(events, window, agg,
+                              CheckpointConfig(interval=25),
+                              crash_times=crash_times,
+                              corrupt_times=corrupt_times)
+    assert run.emissions == clean.emissions
+    return run
+
+
+@pytest.mark.parametrize("run", [_stateful, _windowed],
+                         ids=["stateful", "windowed"])
+@pytest.mark.parametrize("corrupt_at, rolled_back_to, replayed, books", [
+    # a corruption sorts before a same-instant crash: the crash reads the
+    # rotted t=50 snapshot, detects it and falls back to t=25
+    (60.0, 25.0, 36, (1, 1, 0)),
+    # half a second later the crash has already recovered from t=50, and
+    # the rot it then leaves on that snapshot is only found by the audit
+    (60.5, 50.0, 11, (1, 0, 1)),
+])
+def test_same_instant_corruption_precedes_crash(run, corrupt_at,
+                                                rolled_back_to, replayed,
+                                                books):
+    result = run([60.0], [corrupt_at])
+    (r,) = result.recoveries
+    assert (r.checkpoint_offset, r.replayed_events) == \
+        (rolled_back_to, replayed)
+    assert counters(result) == books
 
 
 class TestDeterminism:
@@ -175,7 +169,7 @@ class TestDeterminism:
         events = make_events(250)
         runs = [run_stateful_stream(
             events, AGG, INIT,
-            CheckpointConfig(interval=20, integrity=True),
+            CheckpointConfig(interval=20),
             crash_times=[77.5, 180.5], corrupt_times=[70.0, 170.0])
             for _ in range(2)]
         assert runs[0].state == runs[1].state
