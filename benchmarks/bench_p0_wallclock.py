@@ -15,6 +15,7 @@ at 4 workers when >= 4 cores are present), the multi-tenant serving
 gateway over three tenant mixes plus a chaos sweep (per-tenant p99 /
 goodput-per-dollar / Jain fairness, exact conservation on every seed),
 the checksummed data plane A/B'd on/off (the <5% integrity-overhead
+guard), an empty chaos fault plan attached vs bare (the < 1.25x chaos
 guard), and, with ``--profile``, prints the kernel event mix and
 per-operator self-time profile from :mod:`repro.obs.profile`.  Writes
 ``BENCH_wallclock.json`` next to the repo root so every PR leaves a
@@ -69,7 +70,9 @@ def enforce_guards(payload: dict) -> None:
     instrumentation work is a strict superset of the disabled path's
     (the same module-global loads and ``None`` checks, plus all the
     recording), so the disabled cost is strictly below the guarded
-    number.
+    number.  Attaching an empty chaos fault plan must cost < 1.25x on
+    each of its three workloads (median of per-rep attached/bare
+    ratios, always measured at scale 1.0).
 
     The process-pool guard is conditional on the machine being able to
     show a win at all: it enforces only when the sweep reached >= 4
@@ -123,6 +126,9 @@ def enforce_guards(payload: dict) -> None:
     integ = summary["integrity_checksum_overhead"]
     assert integ < 0.05, \
         f"checksummed data plane overhead {100 * integ:.1f}% >= 5%"
+    chaos = summary["chaos_worst_ratio"]
+    assert chaos < 1.25, \
+        f"empty chaos fault plan costs {chaos:.2f}x (budget 1.25x)"
     pool = payload.get("pool_backend")
     if pool is not None:
         if pool["insufficient_cores"]:
@@ -198,6 +204,8 @@ def test_p0(benchmark):
     assert payload["obs_overhead"]["traced_spans"] > 0
     assert payload["resilience_overhead"]["records"] > 0
     assert payload["integrity_overhead"]["spill_records"] > 0
+    assert set(payload["chaos_overhead"]["workloads"]) == \
+        {"wordcount", "stream", "microbatch"}
     # pool section present, legs agreed at every worker count
     pool = payload["pool_backend"]
     assert pool["workers"] == 4 and set(pool["sweep"]) == {"1", "2", "4"}

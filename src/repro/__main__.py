@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 __all__ = ["discover", "main"]
 
 # experiment files only: bench_t1_wordcount_scaling -> "t1", but no id
-# for a guard such as bench_chaos_overhead
+# for a bench file whose name does not start with a letter-digit id
 _EXPERIMENT = re.compile(r"bench_([a-z][0-9]+)_\w+")
 
 

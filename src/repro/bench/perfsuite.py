@@ -76,7 +76,8 @@ __all__ = ["BASKET", "HEADLINE", "POOL_HEADLINE", "POOL_SWEEP",
            "measure_pool_backend", "measure_windowed_aggregation",
            "measure_sustained_throughput", "measure_multi_tenant_serving",
            "measure_obs_overhead", "measure_resilience_overhead",
-           "measure_integrity_overhead", "profile_end_to_end"]
+           "measure_integrity_overhead", "measure_chaos_overhead",
+           "profile_end_to_end"]
 
 #: v8 adds the streaming measurements: ``windowed_aggregation`` (the
 #: vectorized event-time aggregator A/B'd byte-for-byte against the
@@ -111,7 +112,11 @@ __all__ = ["BASKET", "HEADLINE", "POOL_HEADLINE", "POOL_SWEEP",
 #:
 #: v12 replaces ``meta``'s two engine flags (fusion, columnar) with
 #: ``exec_options``, the default ``ExecOptions`` as a dict.
-SCHEMA_VERSION = 12
+#:
+#: v13 adds ``chaos_overhead`` (an empty fault plan attached vs bare,
+#: per workload, as a median of per-rep ratios) and the summary's
+#: ``chaos_worst_ratio``.
+SCHEMA_VERSION = 13
 
 #: The fixed workload basket, in reporting order.  The first four are
 #: the simulated-cluster jobs; ``sql_analytics``, ``sql_join`` and
@@ -1188,15 +1193,16 @@ def measure_integrity_overhead(scale: float = 1.0, reps: int = 15,
     Two interleaved A/Bs of checksums on (the default) vs off:
 
     * ``end_to_end`` — the same simulated job with
-      ``ExecOptions.checksums`` toggled: the on leg seals every
-      registered map-output bucket (pickle + chunk CRC32) and verifies
-      each bucket on fetch; the off leg skips both.  This is the guarded
+      ``ExecOptions.checksums`` toggled: the on leg stores every
+      registered map-output bucket as a sealed pickle blob (pickle +
+      chunk CRC32) and verifies + unpickles it on fetch; the off leg
+      keeps the record lists and does neither.  This is the guarded
       number — the data plane must cost < 5% on a clean run.
     * ``spill`` — the process-pool spill path in isolation:
       :func:`~repro.dataflow.shuffleio.write_bucket_file` +
       :func:`~repro.dataflow.shuffleio.read_bucket_file` over a
-      realistic bucket set with and without CRCs
-      (informational; the CRC rides the same buffer the pickler just
+      realistic bucket set with and without seals
+      (informational; the seal rides the same buffer the pickler just
       produced, so it is a small fraction of serialization cost).
 
     Both legs must compute the identical result.  The measurement and
@@ -1217,7 +1223,7 @@ def _measure_integrity_overhead_once(scale: float, reps: int,
         {"off": {"options": ExecOptions(checksums=False)},
          "on": {"options": ExecOptions()}})
 
-    # spill leg: CRC-stamped bucket files written + fully read back
+    # spill leg: sealed bucket files written + fully read back
     rng = random.Random(23)
     buckets = [[(f"k{rng.randrange(4000)}", rng.random())
                 for _ in range(int(2_000 * max(scale, 0.1)))]
@@ -1245,10 +1251,84 @@ def _measure_integrity_overhead_once(scale: float, reps: int,
         "spill_records": sum(len(b) for b in buckets),
         "spill_off_seconds": min(spill_times["off"]),
         "spill_on_seconds": min(spill_times["on"]),
-        # informational: CRC32 over the just-pickled buffer
+        # informational: chunk CRC32s over the just-pickled buffer
         "spill_checksum_overhead":
             median_ratio(spill_times, "on", "off") - 1.0,
     }
+
+
+def measure_chaos_overhead(scale: float = 1.0, reps: int = 15,
+                           attempts: int = 3,
+                           guard: float = 1.25) -> Dict[str, Any]:
+    """Measure what an attached but empty fault plan costs.
+
+    The chaos adapters are built so that a plan with no events adds only
+    a ``None`` check per dataflow task, an unwrapped rate function and no
+    scheduled process.  Three workloads — simulated wordcount, the
+    checkpointed stateful stream and the micro-batch engine — each run
+    ``bare`` and ``attached`` (``FaultPlan.scripted([])``) through
+    :func:`interleaved_ab`, and both legs must compute the same result.
+    A workload's ``ratio`` is the :func:`median_ratio` attached/bare;
+    :func:`best_trial` retries while the worst of the three,
+    ``worst_ratio``, reads at or above ``guard``.
+    """
+    return best_trial(lambda: _measure_chaos_overhead_once(scale, reps),
+                      "worst_ratio", attempts, guard)
+
+
+def _measure_chaos_overhead_once(scale: float, reps: int) -> Dict[str, Any]:
+    """One trial of the bare/attached A/B (see the public wrapper)."""
+    from operator import add
+
+    from ..chaos import (ClusterChaos, EngineChaos, FaultPlan, burst_rate,
+                         operator_crash_times)
+    from ..streaming.checkpoint import CheckpointConfig, run_stateful_stream
+    from ..streaming.microbatch import MicroBatchConfig, run_microbatch
+
+    empty = FaultPlan.scripted([])
+    words = [f"w{i % 50:02d}" for i in range(max(500, int(6000 * scale)))]
+    events = [(i * 0.5, i % 20, 1)
+              for i in range(max(500, int(20_000 * scale)))]
+    duration = max(20.0, 200.0 * scale)
+    mb_cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-5,
+                              parallelism=4)
+
+    def wordcount(leg: str):
+        sim, ctx, engine = _fresh()
+        ds = (ctx.parallelize(words, 8).map(lambda w: (w, 1))
+              .reduce_by_key(add, 6))
+
+        def job():
+            if leg == "attached":
+                ClusterChaos(engine.cluster, empty).start()
+                EngineChaos(engine, empty).start()
+            return sim.run_until_done(engine.collect(ds))
+        return job, lambda res: sorted(res.value)
+
+    def stream(leg: str):
+        crashes = operator_crash_times(empty) if leg == "attached" else ()
+        return ((lambda: run_stateful_stream(
+                    events, add, lambda v: v, CheckpointConfig(interval=10.0),
+                    crash_times=crashes)),
+                lambda run: sorted(run.state.items()))
+
+    def microbatch(leg: str):
+        base = lambda t: 5000.0
+        rate = burst_rate(base, empty) if leg == "attached" else base
+        return ((lambda: run_microbatch(rate, mb_cfg, duration)),
+                lambda res: (res.processed_records, res.batch_times))
+
+    workloads: Dict[str, Any] = {}
+    for name, run in (("wordcount", wordcount), ("stream", stream),
+                      ("microbatch", microbatch)):
+        times = interleaved_ab(("bare", "attached"), run, reps)
+        workloads[name] = {
+            "bare_seconds": min(times["bare"]),
+            "attached_seconds": min(times["attached"]),
+            "ratio": median_ratio(times, "attached", "bare"),
+        }
+    return {"workloads": workloads,
+            "worst_ratio": max(w["ratio"] for w in workloads.values())}
 
 
 def profile_end_to_end(name: str = "wordcount",
@@ -1340,6 +1420,11 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
         print(f"{'integrity':>15}: checksums on "
               f"{100 * integ['checksum_overhead']:+.1f}% end-to-end, "
               f"{100 * integ['spill_checksum_overhead']:+.1f}% spill")
+    chaos = measure_chaos_overhead(max(scale, 1.0))
+    if verbose:
+        ratios = "  ".join(f"{n} {w['ratio']:.3f}"
+                           for n, w in chaos["workloads"].items())
+        print(f"{'chaos':>15}: empty plan attached/bare {ratios}")
     pool = None
     if pool_workers:
         sweep = tuple(w for w in POOL_SWEEP if w < pool_workers)
@@ -1362,11 +1447,12 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
         "obs_overhead": obs,
         "resilience_overhead": resil,
         "integrity_overhead": integ,
+        "chaos_overhead": chaos,
         "pool_backend": pool,
         "sustained_throughput": streaming,
         "multi_tenant_serving": serving,
         "summary": _summarize(workloads, obs, resil, pool, streaming,
-                              serving, integ),
+                              serving, integ, chaos),
     }
     if verbose:
         s = payload["summary"]
@@ -1382,7 +1468,8 @@ def _summarize(workloads: Dict[str, Any],
                pool: Optional[Dict[str, Any]] = None,
                streaming: Optional[Dict[str, Any]] = None,
                serving: Optional[Dict[str, Any]] = None,
-               integ: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+               integ: Optional[Dict[str, Any]] = None,
+               chaos: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     writes = [workloads[n]["shuffle_write"] for n in HEADLINE]
     return {
         "headline_workloads": list(HEADLINE),
@@ -1404,6 +1491,7 @@ def _summarize(workloads: Dict[str, Any],
             integ["checksum_overhead"] if integ else None,
         "integrity_spill_overhead":
             integ["spill_checksum_overhead"] if integ else None,
+        "chaos_worst_ratio": chaos["worst_ratio"] if chaos else None,
         "pool_speedup": pool["speedup"] if pool else None,
         "pool_workers": pool["workers"] if pool else None,
         "pool_insufficient_cores":

@@ -167,8 +167,8 @@ class PlanPickler(pickle.Pickler):
                  fn.__kwdefaults__, closure_values, globals_subset, attrs))
 
 
-def dumps(obj: Any, *, overrides: Optional[Dict[type, Callable]] = None,
-          with_buffers: bool = True) -> Tuple[bytes, List[bytes]]:
+def dumps(obj: Any, *, overrides: Optional[Dict[type, Callable]] = None) \
+        -> Tuple[bytes, List[bytes]]:
     """Serialize ``obj``; returns ``(payload, out_of_band_buffers)``.
 
     Raises :class:`UnpicklableTaskError` (with the underlying reason) on
@@ -176,9 +176,8 @@ def dumps(obj: Any, *, overrides: Optional[Dict[type, Callable]] = None,
     """
     buf = io.BytesIO()
     buffers: List[pickle.PickleBuffer] = []
-    pickler = PlanPickler(
-        buf, overrides=overrides,
-        buffer_callback=buffers.append if with_buffers else None)
+    pickler = PlanPickler(buf, overrides=overrides,
+                          buffer_callback=buffers.append)
     try:
         pickler.dump(obj)
     except UnpicklableTaskError:

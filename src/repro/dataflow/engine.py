@@ -18,6 +18,7 @@ Implements the full Spark-style execution model:
 
 from __future__ import annotations
 
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -136,15 +137,31 @@ class JobResult:
 
 
 class _MapOutput:
+    """One map output: with ``ExecOptions.checksums`` on, ``buckets`` are
+    :func:`~repro.storage.integrity.seal_object` blobs (the spill-file
+    format) and ``seals`` their Seals; off, record lists and None."""
+
     __slots__ = ("node", "buckets", "bucket_bytes", "seals")
 
-    def __init__(self, node: str, buckets: List[List],
+    def __init__(self, node: str, buckets: List,
                  bucket_bytes: List[float],
-                 seals: Optional[Tuple[integrity.Seal, ...]] = None) -> None:
+                 seals: Optional[List[integrity.Seal]] = None) -> None:
         self.node = node
         self.buckets = buckets
         self.bucket_bytes = bucket_bytes
-        self.seals = seals               # one Seal per bucket, or None
+        self.seals = seals
+
+    def rotten(self) -> List[int]:
+        """Reduce ids whose blob fails its seal (CRC only, no unpickle)."""
+        if self.seals is None:
+            return []
+        bad = []
+        for r, (blob, s) in enumerate(zip(self.buckets, self.seals)):
+            try:
+                integrity.verify(blob, s)
+            except ChecksumError:
+                bad.append(r)
+        return bad
 
 
 class _CacheEntry:
@@ -180,7 +197,7 @@ class _SimRuntime(TaskRuntime):
             recs = mo.buckets[reduce_id]
             if mo.seals is not None:
                 try:
-                    integrity.verify_object(
+                    recs = integrity.verify_object(
                         recs, mo.seals[reduce_id], layer="shuffle.mem",
                         path=f"s{shuffle_id}m{m}r{reduce_id}")
                 except ChecksumError:
@@ -363,19 +380,30 @@ class SimEngine:
 
         Models bit-rot in shuffle data the loud fault kinds cannot: the
         bytes stay present and the owning node stays alive, but one
-        bucket's contents are wrong.  The corruption appends a sentinel
-        record to a fresh copy of the victim bucket (source record tuples
-        are shared with lineage and must stay pristine), so a sealed
-        engine detects it at the next reduce fetch and re-runs exactly
-        that map.  ``rng`` (a numpy Generator) picks victims; without one
-        the lowest (shuffle_id, map_id) pairs rot, bucket 0 each.
-        Returns the corrupted ``(shuffle_id, map_id, reduce_id)`` triples.
+        bucket's blob is wrong: :func:`~repro.storage.integrity.flip_byte`
+        flips a byte at an offset derived from the victim and the
+        simulated time.  The next reduce fetch detects it and re-runs
+        exactly that map.  Only a *clean* bucket of a *sealed* output
+        rots, so each injection is detected or audited exactly once;
+        unsealed outputs (live lists, no bytes) and outputs with no clean
+        bucket left are skipped.  ``rng`` (a numpy Generator) picks
+        victims and a bucket each, stepping past rotten buckets to the
+        next clean one; without it the lowest (shuffle_id, map_id) pairs
+        rot, first clean bucket each.  Returns the corrupted
+        ``(shuffle_id, map_id, reduce_id)`` triples.
         """
         hit: List[Tuple[int, int, int]] = []
         for sid, m in self._map_output_victims(n, rng):
             mo = self._map_outputs[sid][m]
-            r = int(rng.integers(len(mo.buckets))) if rng is not None else 0
-            mo.buckets[r] = list(mo.buckets[r]) + [("\x00corrupt", -1)]
+            n_out, rotten = len(mo.buckets), mo.rotten()
+            if mo.seals is None or len(rotten) == n_out:
+                continue
+            r = int(rng.integers(n_out)) if rng is not None else 0
+            while r in rotten:          # step to the next clean bucket
+                r = (r + 1) % n_out
+            where = f"s{sid}m{m}r{r}@{self.sim.now:.6f}"
+            mo.buckets[r] = integrity.flip_byte(
+                mo.buckets[r], zlib.crc32(where.encode()))
             hit.append((sid, m, r))
         return hit
 
@@ -388,17 +416,10 @@ class SimEngine:
         and charges no simulated cost; the chaos oracle uses it to close
         the injected-vs-accounted identity.
         """
-        bad: List[Tuple[int, int, int]] = []
-        for sid, outs in sorted(self._map_outputs.items()):
-            for m, mo in sorted(outs.items()):
-                if mo.seals is None:
-                    continue
-                for r, s in enumerate(mo.seals):
-                    try:
-                        integrity.verify_object(mo.buckets[r], s)
-                    except ChecksumError:
-                        bad.append((sid, m, r))
-        return bad
+        return [(sid, m, r)
+                for sid, outs in sorted(self._map_outputs.items())
+                for m, mo in sorted(outs.items())
+                for r in mo.rotten()]
 
     def run_job(self, ds: Dataset,
                 finalize: Callable[[List], Any],
@@ -1057,8 +1078,11 @@ class SimEngine:
             if attempt.alive:
                 # sealed buckets are verified at reduce fetch; a corrupt
                 # one drops the map output and rides lineage recovery
-                seals = (tuple(integrity.seal_object(b) for b in buckets)
-                         if stage.dataset.ctx.options.checksums else None)
+                seals = None
+                if stage.dataset.ctx.options.checksums:
+                    sealed = [integrity.seal_object(b) for b in buckets]
+                    buckets = [blob for blob, _ in sealed]
+                    seals = [s for _, s in sealed]
                 self._register_map_output(
                     dep.shuffle_id, split,
                     _MapOutput(attempt.node, buckets, bucket_bytes, seals))
@@ -1127,18 +1151,12 @@ class SimEngine:
         ``skip`` excludes the bucket that was just *detected* (already
         counted) when the detection path drops the whole output.
         """
-        if mo.seals is None:
-            return
-        for r, s in enumerate(mo.seals):
-            if r == skip:
-                continue
-            try:
-                integrity.verify_object(mo.buckets[r], s)
-            except ChecksumError:
-                self.integrity_latent_discarded += 1
-                reg = obs_metrics.get_registry()
-                if reg is not None:
-                    reg.counter("integrity.latent_discarded").inc()
+        n = sum(r != skip for r in mo.rotten())
+        if n:
+            self.integrity_latent_discarded += n
+            reg = obs_metrics.get_registry()
+            if reg is not None:
+                reg.counter("integrity.latent_discarded").inc(n)
 
     # ------------------------------------------------------------ failures
 

@@ -40,13 +40,14 @@ sample per bucket.
 from __future__ import annotations
 
 import os
-import zlib
+import pickle
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..common.errors import BucketFileError, ChecksumError
+from ..common.errors import BucketFileError
 from ..obs.metrics import get_registry
+from ..storage import integrity
 from . import fusion
 from .costmodel import CostModel, SizeEstimator
 from .plan import MappedDataset, ShuffleDependency, TaskRuntime
@@ -190,23 +191,22 @@ def write_bucket_file(path: str, buckets: List[List],
                       checksums: bool) -> List[Tuple]:
     """Write ``buckets`` back-to-back to ``path``.
 
-    Returns one ``(offset, length)`` pair — ``(offset, length, crc32)``
+    Returns one ``(offset, length)`` pair — ``(offset, length, Seal)``
     when ``checksums`` is set (the context's ``ExecOptions.checksums``) —
     per bucket so a reader can fetch a single reduce partition without
-    scanning the file.  A CRC turns silent bit-rot in a spill file into a
-    typed, recoverable ChecksumError at read time.  Buckets
-    are serialized with the closure-aware plan pickler, so records that
-    happen to contain lambdas still round-trip.
+    scanning the file.  A sealed bucket is the
+    :func:`~repro.storage.integrity.seal_object` blob, the same bytes a
+    sealed in-process map output holds; its seal turns silent bit-rot in
+    a spill file into a typed, recoverable ChecksumError at read time.
     """
-    from . import closure
-
     offsets: List[Tuple] = []
     with open(path, "wb") as f:
         for bucket in buckets:
-            blob, _ = closure.dumps(bucket, with_buffers=False)
             if checksums:
-                offsets.append((f.tell(), len(blob), zlib.crc32(blob)))
+                blob, s = integrity.seal_object(bucket)
+                offsets.append((f.tell(), len(blob), s))
             else:
+                blob = pickle.dumps(bucket, protocol=4)
                 offsets.append((f.tell(), len(blob)))
             f.write(blob)
     return offsets
@@ -220,13 +220,11 @@ def read_bucket_file(path: str, offsets: Sequence[Tuple],
     actual file size before deserializing, so a truncated or torn spill
     file raises a typed :class:`~repro.common.errors.BucketFileError`
     with full provenance instead of an opaque ``UnpicklingError``; when
-    the offset entry carries a CRC (checksumming on at write time), the
+    the offset entry carries a Seal (checksumming on at write time), the
     blob is verified and corruption raises
     :class:`~repro.common.errors.ChecksumError` naming the file and the
-    corrupt bucket's byte offset.
+    byte offset of the corrupt chunk.
     """
-    from . import closure
-
     if not 0 <= reduce_id < len(offsets):
         raise BucketFileError(
             f"bucket file {path} has {len(offsets)} buckets, "
@@ -235,7 +233,6 @@ def read_bucket_file(path: str, offsets: Sequence[Tuple],
             file_size=-1)
     entry = offsets[reduce_id]
     off, length = entry[0], entry[1]
-    want_crc = entry[2] if len(entry) > 2 else None
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         if off < 0 or length < 0 or off + length > file_size:
@@ -247,12 +244,10 @@ def read_bucket_file(path: str, offsets: Sequence[Tuple],
     if len(blob) != length:
         raise BucketFileError(path=path, reduce_id=reduce_id, offset=off,
                               length=length, file_size=file_size)
-    if want_crc is not None:
-        got = zlib.crc32(blob)
-        if got != want_crc:
-            raise ChecksumError(layer="shuffle", path=path, offset=off,
-                                expected=want_crc, actual=got)
-    return closure.loads(blob)
+    if len(entry) > 2:
+        return integrity.verify_object(blob, entry[2], layer="shuffle",
+                                       path=path, offset_base=off)
+    return pickle.loads(blob)
 
 
 def _write_buckets_scalar(dep: ShuffleDependency, records: Sequence,

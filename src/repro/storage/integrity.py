@@ -11,9 +11,12 @@ straight into results.  This module is the shared primitive layer:
 * :func:`verify` re-checksums a payload against its seal and raises
   :class:`~repro.common.errors.ChecksumError` with layer/path/offset
   provenance on the first mismatching chunk;
-* :func:`seal_object` / :func:`verify_object` do the same for in-memory
-  Python objects (engine shuffle buckets, checkpoint snapshots) via a
-  deterministic pickle;
+* :func:`seal_object` / :func:`verify_object` are the one stored-object
+  format: a protocol-4 pickle blob plus its :class:`Seal`.  Engine map
+  output buckets, pool spill-file buckets and checkpoint snapshots are
+  all stored this way, so a bucket sealed in-process and one read back
+  from a spill file are byte-compatible, and every check is a
+  :func:`verify` (audits need only the CRC, fetches also unpickle);
 * :func:`flip_byte` is the canonical corruption injector — the chaos
   ``data_corrupt`` adapters all flip bytes through it, so detection
   guarantees are uniform across layers.
@@ -76,7 +79,7 @@ def verify(data: bytes, s: Seal, *, layer: str = "?",
     """Raise :class:`ChecksumError` unless ``data`` matches seal ``s``.
 
     ``offset_base`` shifts reported offsets for payloads that live at a
-    nonzero position inside a larger file (shuffle bucket blobs).
+    nonzero position inside a larger file (spill-file bucket blobs).
     """
     if len(data) != s.length:
         raise ChecksumError(layer=layer, path=path,
@@ -92,20 +95,17 @@ def verify(data: bytes, s: Seal, *, layer: str = "?",
                                 expected=want, actual=got)
 
 
-def seal_object(obj, chunk_size: int = CHUNK_SIZE) -> Seal:
-    """Seal an in-memory object via its pickle (protocol 4).
-
-    Seal and verify always run in the same process, so pickle determinism
-    across interpreters is not required — only that the same object state
-    re-pickles to the same bytes within one process, which protocol-4
-    pickling of plain data guarantees.
-    """
-    return seal(pickle.dumps(obj, protocol=4), chunk_size)
+def seal_object(obj, chunk_size: int = CHUNK_SIZE) -> Tuple[bytes, Seal]:
+    """Pickle ``obj`` (protocol 4) and seal the pickle: ``(blob, seal)``."""
+    blob = pickle.dumps(obj, protocol=4)
+    return blob, seal(blob, chunk_size)
 
 
-def verify_object(obj, s: Seal, *, layer: str = "?", path: str = "?") -> None:
-    """Re-pickle ``obj`` and verify it against seal ``s``."""
-    verify(pickle.dumps(obj, protocol=4), s, layer=layer, path=path)
+def verify_object(blob: bytes, s: Seal, *, layer: str = "?", path: str = "?",
+                  offset_base: int = 0):
+    """:func:`verify` a :func:`seal_object` blob, then unpickle it."""
+    verify(blob, s, layer=layer, path=path, offset_base=offset_base)
+    return pickle.loads(blob)
 
 
 def flip_byte(data: bytes, offset: int) -> bytes:

@@ -24,7 +24,6 @@ The genesis snapshot is never corrupted, so recovery always terminates.
 
 from __future__ import annotations
 
-import pickle
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -61,9 +60,9 @@ class _SnapshotLog:
     """The checkpoint store behind both streaming runs.
 
     Each entry is ``(t, blob, offset, emitted, seal)``: the operator
-    state pickled — which also isolates it from later in-place mutation
-    of the live state — with a chunk-CRC
-    :class:`~repro.storage.integrity.Seal` over the blob.  Recovery
+    state as a :func:`~repro.storage.integrity.seal_object` blob — which
+    also isolates it from later in-place mutation of the live state —
+    and its chunk-CRC :class:`~repro.storage.integrity.Seal`.  Recovery
     *verifies* candidates and falls back past corrupt ones, and the
     chaos ``data_corrupt`` adapter rots blobs through :meth:`corrupt`.
     Counters keep the oracle's identity exact:
@@ -81,8 +80,8 @@ class _SnapshotLog:
         self._rotten: set = set()        # checkpoint times already corrupted
 
     def append(self, t: float, state, offset: int, emitted: int) -> None:
-        blob = pickle.dumps(state, protocol=4)
-        self.entries.append((t, blob, offset, emitted, integrity.seal(blob)))
+        blob, seal = integrity.seal_object(state)
+        self.entries.append((t, blob, offset, emitted, seal))
 
     def pick(self, t_max: float) -> Tuple[float, Any, int, int]:
         """Newest verifiable entry at or before ``t_max``.
@@ -98,8 +97,9 @@ class _SnapshotLog:
             if t > t_max:
                 continue
             try:
-                integrity.verify(blob, seal, layer="checkpoint",
-                                 path=f"ckpt@{t:g}")
+                state = integrity.verify_object(blob, seal,
+                                                layer="checkpoint",
+                                                path=f"ckpt@{t:g}")
             except ChecksumError:
                 self.c_detected.inc()
                 if tr is not None:
@@ -107,7 +107,7 @@ class _SnapshotLog:
                                cat="integrity", checkpoint=t)
                 del self.entries[pos]
                 continue
-            return t, pickle.loads(blob), offset, emitted
+            return t, state, offset, emitted
         raise StreamingError("no usable checkpoint")
 
     def corrupt(self, at: float) -> bool:

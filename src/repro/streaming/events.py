@@ -370,10 +370,10 @@ class VectorizedWindowAggregator:
     def flush(self) -> List[WindowResult]:
         return self._scalar.flush()
 
-    def snapshot(self) -> tuple:
+    def snapshot(self) -> bytes:
         return self._scalar.snapshot()
 
-    def restore(self, snap: tuple) -> None:
+    def restore(self, snap: bytes) -> None:
         self._scalar.restore(snap)
 
     # batch ingestion --------------------------------------------------------

@@ -13,8 +13,8 @@ DES engine so they unit-test directly:
 
 from __future__ import annotations
 
-import copy
 import math
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -185,17 +185,17 @@ class WatermarkAggregator:
         out.extend(self._advance())
         return out
 
-    def snapshot(self) -> tuple:
-        """Deep-copied state for checkpointing (see :meth:`restore`)."""
-        return copy.deepcopy((self._state, self._fired, self._max_ts,
-                              self.dropped, self.late_corrections,
-                              self.window_in, self.window_late))
+    def snapshot(self) -> bytes:
+        """The whole state as one protocol-4 pickle (see :meth:`restore`)."""
+        return pickle.dumps((self._state, self._fired, self._max_ts,
+                             self.dropped, self.late_corrections,
+                             self.window_in, self.window_late), protocol=4)
 
-    def restore(self, snap: tuple) -> None:
+    def restore(self, snap: bytes) -> None:
         """Roll back to a :meth:`snapshot` (the snapshot stays usable)."""
         (self._state, self._fired, self._max_ts, self.dropped,
          self.late_corrections, self.window_in,
-         self.window_late) = copy.deepcopy(snap)
+         self.window_late) = pickle.loads(snap)
 
     def _advance(self) -> List[WindowResult]:
         wm = self.watermark

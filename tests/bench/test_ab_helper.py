@@ -117,3 +117,21 @@ class TestBestTrial:
     def test_runs_at_least_once(self):
         trial, calls = self._trials([0.5])
         assert best_trial(trial, "overhead", attempts=0, guard=0.05)["n"] == 1
+
+
+class TestChaosOverhead:
+    def test_three_workloads_on_the_shared_loop(self, monkeypatch):
+        legs = []
+        real = perfsuite.interleaved_ab
+
+        def spy(names, run, reps):
+            legs.append(tuple(names))
+            return real(names, run, reps)
+
+        monkeypatch.setattr(perfsuite, "interleaved_ab", spy)
+        r = perfsuite.measure_chaos_overhead(0.01, reps=2, attempts=1)
+        assert legs == [("bare", "attached")] * 3
+        assert set(r["workloads"]) == {"wordcount", "stream", "microbatch"}
+        assert r["worst_ratio"] == max(w["ratio"]
+                                       for w in r["workloads"].values())
+        assert all(w["bare_seconds"] > 0 for w in r["workloads"].values())

@@ -96,6 +96,24 @@ class TestEngineCorruption:
         assert len(hit) == 2
         assert sorted(eng.audit_shuffle_integrity()) == sorted(hit)
 
+    def test_corruption_only_lands_on_clean_buckets(self):
+        sim, eng, ds, _expected = _wordcount_env()
+        sim.run_until_done(eng.collect(ds))
+        (sid, outs), = eng._map_outputs.items()
+        n_out = len(outs[0].buckets)
+        # without an rng every injection hits map 0's first clean bucket
+        hits = [eng.corrupt_map_outputs(1) for _ in range(n_out + 1)]
+        assert hits[:n_out] == [[(sid, 0, r)] for r in range(n_out)]
+        assert hits[n_out] == []          # nothing clean is left to rot
+        assert eng.audit_shuffle_integrity() == \
+            [(sid, 0, r) for r in range(n_out)]
+
+    @pytest.mark.parametrize("seed", [14, 16, 184, 279, 315, 318])
+    def test_repeat_draws_keep_accounting_exact(self, seed):
+        # these seeds' engine plans draw an already-rotten bucket again
+        report = check_integrity(seed)
+        assert report.ok, report.failures
+
 
 class TestDFSCorruption:
     def test_corrupt_piece_detected_and_healed(self):

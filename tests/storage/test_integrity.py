@@ -116,14 +116,19 @@ class TestTruncationAndProvenance:
 class TestObjectSeals:
     def test_object_round_trip(self):
         obj = [("k", 1), ("j", [2, 3])]
-        integrity.verify_object(obj, integrity.seal_object(obj))
+        blob, s = integrity.seal_object(obj)
+        assert isinstance(blob, bytes) and s == seal(blob)
+        back = integrity.verify_object(blob, s)
+        assert back == obj and back is not obj
 
-    def test_object_mutation_detected(self):
-        obj = [("k", 1)]
-        s = integrity.seal_object(obj)
-        obj.append(("rot", -1))
-        with pytest.raises(ChecksumError):
-            integrity.verify_object(obj, s)
+    def test_flipped_blob_raises(self):
+        blob, s = integrity.seal_object([("k", 1)])
+        with pytest.raises(ChecksumError) as ei:
+            integrity.verify_object(flip_byte(blob, 3), s, layer="shuffle",
+                                    path="/f.buckets", offset_base=500)
+        err = ei.value
+        assert (err.layer, err.path, err.offset) == \
+            ("shuffle", "/f.buckets", 500)
 
     def test_chunk_boundary_payloads(self):
         # payload sizes straddling the default chunk size

@@ -20,7 +20,7 @@ class TestDiscovery:
 
     def test_only_letter_digit_ids(self):
         exps = discover()
-        assert "chaos" not in exps     # bench_chaos_overhead.py is a guard
+        assert "chaos" not in exps     # bench_chaos_*: no letter-digit id
         for exp_id in exps:
             assert exp_id[0].isalpha() and exp_id[1:].isdigit()
 
