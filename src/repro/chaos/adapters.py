@@ -225,14 +225,15 @@ class DFSChaos:
     :class:`DistributedFS`.
 
     A victim block (and slot) is chosen via the plan's child RNG among
-    blocks that stay readable after the fault — one replica of at least
-    two live copies, or one fragment while more than ``k`` live fragments
-    remain.  A *lost* piece is re-protected through the DFS's own repair
-    machinery after ``detection_delay``, with the repair traffic charged
-    as usual.  A *corrupted* piece stays silently in place — the
-    checksummed read path (or the scrubber) detects it, quarantines the
-    copy, and repairs from clean sources.  Node failures are
-    :class:`ClusterChaos` business; the DFS already watches those itself.
+    blocks that stay readable after the fault — one clean replica of at
+    least two clean live copies, or one clean fragment while more than
+    ``k`` clean live fragments remain.  A *lost* piece is re-protected
+    through the DFS's own repair machinery after ``detection_delay``,
+    with the repair traffic charged as usual.  A *corrupted* piece stays
+    silently in place — the checksummed read path (or the scrubber)
+    detects it, quarantines the copy, and repairs from clean sources.
+    Node failures are :class:`ClusterChaos` business; the DFS already
+    watches those itself.
     """
 
     def __init__(self, dfs, plan: FaultPlan,
@@ -265,8 +266,7 @@ class DFSChaos:
         for _ in range(max(1, int(ev.magnitude))):
             candidates = []
             for _bid, block in sorted(dfs._blocks.items()):
-                slots = [s for s in self._droppable_slots(block)
-                         if dfs._piece_clean(block.block_id, s)]
+                slots = self._droppable_slots(block)
                 if slots:
                     candidates.append((block, slots))
             if not candidates:
@@ -279,12 +279,14 @@ class DFSChaos:
                               f"b{block.block_id}s{slot}@{off}")
 
     def _droppable_slots(self, block) -> List[int]:
-        alive = self.dfs.cluster.nodes
-        live = [s for s, node in sorted(block.locations.items())
-                if alive[node].alive]
-        if block.mode == "replicate":
-            return live if len(live) >= 2 else []
-        return live if len(live) > self.dfs.codec.k else []
+        """The clean live slots of ``block`` when one may be dropped or
+        rotted and the block stays readable, else none."""
+        dfs = self.dfs
+        clean = [s for s, node in sorted(block.locations.items())
+                 if dfs.cluster.nodes[node].alive
+                 and dfs._piece_clean(block.block_id, s)]
+        need = 2 if block.mode == "replicate" else dfs.codec.k + 1
+        return clean if len(clean) >= need else []
 
     def _lose(self, ev):
         yield sleep_until(self.sim, ev.time)
@@ -307,11 +309,7 @@ class DFSChaos:
         # re-protect through the DFS's own repair path, like the
         # failure watcher does after its detection delay
         yield self.sim.timeout(dfs.config.detection_delay)
-        dfs.repairs_started += 1
-        if block.mode == "replicate":
-            yield from dfs._rereplicate(block, slot)
-        else:
-            yield from dfs._reconstruct_fragment(block, slot)
+        yield from dfs._repair_piece(block, slot)
         self.trace.record(self.sim.now, "block_repaired",
                           f"b{block.block_id}s{slot}")
 

@@ -10,7 +10,8 @@ at each storing node and network transfers along the real topology.  Reads
 pick the closest live replica (local → rack-local → remote) and fall back
 to degraded EC decoding when data shards are on dead nodes.  Node failures
 trigger re-replication / fragment reconstruction after a detection delay,
-with the repair traffic accounted.
+with the repair traffic accounted; a repair starved of live sources or
+targets is stalled and retried when a node recovers.
 
 When actual ``data`` is supplied, content is stored (and erasure-coded)
 for real, so tests can verify byte-exact reads through failures.
@@ -19,7 +20,7 @@ for real, so tests can verify byte-exact reads through failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.errors import (
     BlockNotFoundError,
@@ -141,11 +142,15 @@ class DistributedFS:
         for name in ("dfs.bytes_written", "dfs.bytes_read",
                      "dfs.degraded_reads", "dfs.failed_reads",
                      "dfs.repairs_started", "dfs.repairs_failed",
-                     "dfs.repairs_abandoned", "dfs.repair_bytes",
+                     "dfs.repairs_abandoned", "dfs.repairs_stalled",
+                     "dfs.repair_bytes",
                      "dfs.hedged_reads", "integrity.detected",
                      "integrity.quarantined", "integrity.latent_discarded",
                      "integrity.scrub_pieces", "integrity.scrub_bytes"):
             self.metrics.counter(name)
+        # (block_id, slot) of repairs that found too few live sources or
+        # no target node; retried when a node recovers
+        self._stalled: Set[Tuple[int, int]] = set()
         self._watching = False
         if self.config.auto_repair or self.breaker is not None:
             self._watch_failures()
@@ -176,6 +181,7 @@ class DistributedFS:
     repairs_started = _counter_prop("repairs_started", as_int=True)
     repairs_failed = _counter_prop("repairs_failed", as_int=True)
     repairs_abandoned = _counter_prop("repairs_abandoned", as_int=True)
+    repairs_stalled = _counter_prop("repairs_stalled", as_int=True)
     repair_bytes = _counter_prop("repair_bytes")
     hedged_reads = _counter_prop("hedged_reads", as_int=True)
     integrity_detected = _counter_prop("detected", as_int=True,
@@ -353,14 +359,13 @@ class DistributedFS:
                 if self._hedge is not None:
                     self._read_durations.append(self.sim.now - t0)
             slot = self._slot_of(block, src)
-            if slot is None or self._verify_piece(block, slot):
+            if slot is None or self._pieces_clean(block, [slot]):
                 if self.breaker is not None:
                     self.breaker.record_success(src, self.sim.now)
                 self.bytes_read += block.size
                 done.succeed(self._content.get((block.block_id, slot))
                              if slot is not None else None)
                 return
-            self._quarantine(block, slot, src)
 
     def _hedged_fetch(self, block: BlockInfo, reader: str,
                       ranked: List[str], delay: float):
@@ -428,10 +433,7 @@ class DistributedFS:
                     evs.append(self.cluster.transfer(node, reader, frag_size))
             yield self.sim.all_of(evs)
             self.bytes_read += frag_size * len(chosen)
-            bad = [i for i in chosen if not self._verify_piece(block, i)]
-            if bad:
-                for i in bad:
-                    self._quarantine(block, i, live[i])
+            if not self._pieces_clean(block, chosen):
                 continue
             payload = None
             if any((block.block_id, i) in self._content for i in chosen):
@@ -529,6 +531,11 @@ class DistributedFS:
                 return slot
         return None
 
+    def _piece_size(self, block: BlockInfo) -> int:
+        """Bytes of one stored piece: the block, or one EC fragment."""
+        return (block.size if block.mode == "replicate"
+                else self.codec.fragment_size(block.size))
+
     def _store_piece(self, block_id: int, slot: int, data: bytes) -> None:
         """Store and seal one replica/fragment payload."""
         self._content[(block_id, slot)] = data
@@ -585,13 +592,23 @@ class DistributedFS:
             return False
         return True
 
-    def _quarantine(self, block: BlockInfo, slot: int,
-                    node: Optional[str] = None) -> None:
+    def _pieces_clean(self, block: BlockInfo, slots: List[int]) -> bool:
+        """Verify ``slots`` of ``block``, quarantining each rotten piece.
+
+        The one detection step of reads, scrubs and repairs: True when
+        every piece passed its checksums.
+        """
+        rotten = [s for s in slots if not self._verify_piece(block, s)]
+        for slot in rotten:
+            self._quarantine(block, slot)
+        return not rotten
+
+    def _quarantine(self, block: BlockInfo, slot: int) -> None:
         """Remove a checksum-failed piece from service and schedule repair.
 
         The slot leaves ``block.locations`` *before* any repair picks
-        sources, so re-replication can never clone the corrupt copy; the
-        bad bytes and their stale seal are dropped with it.  The holding
+        sources, so a repair can never clone the corrupt copy; the bad
+        bytes and their stale seal are dropped with it.  The holding
         node's breaker records a failure — a node serving rotten bytes is
         as suspect as one timing out.
         """
@@ -600,19 +617,14 @@ class DistributedFS:
         self._content.pop(key, None)
         self._seals.pop(key, None)
         self.integrity_quarantined += 1
-        who = node or held
-        if self.breaker is not None and who is not None:
-            self.breaker.record_failure(who, self.sim.now)
+        if self.breaker is not None and held is not None:
+            self.breaker.record_failure(held, self.sim.now)
         if not self.config.auto_repair:
             return
 
         def _re(sim: Simulator):
             yield sim.timeout(0.0)
-            self.repairs_started += 1
-            if block.mode == "replicate":
-                yield from self._rereplicate(block, slot)
-            else:
-                yield from self._reconstruct_fragment(block, slot)
+            yield from self._repair_piece(block, slot)
         self.sim.process(
             _re(self.sim),
             name=f"dfs-requarantine:b{block.block_id}s{slot}")
@@ -702,8 +714,7 @@ class DistributedFS:
         found = 0
         for bid in sorted(self._blocks):
             block = self._blocks[bid]
-            piece_size = (self.codec.fragment_size(block.size)
-                          if block.mode == "ec" else block.size)
+            piece_size = self._piece_size(block)
             for slot in sorted(block.locations):
                 node = block.locations.get(slot)
                 if node is None or not self.cluster.nodes[node].alive:
@@ -715,9 +726,8 @@ class DistributedFS:
                             piece_size / self.config.scrub_rate)
                 self.scrub_pieces += 1
                 self.scrub_bytes += piece_size
-                if not self._verify_piece(block, slot):
+                if not self._pieces_clean(block, [slot]):
                     found += 1
-                    self._quarantine(block, slot, node)
         if tr is not None and span is not None:
             tr.end(span, self.sim.now, corrupt_found=found)
         return found
@@ -739,7 +749,12 @@ class DistributedFS:
                 self.breaker.trip(node.name, self.sim.now)
             elif kind == "recover":
                 self.breaker.reset(node.name)
-        if kind != "fail" or not self.config.auto_repair:
+        if not self.config.auto_repair:
+            return
+        if kind == "recover":
+            if self._stalled:
+                self.sim.process(self._retry_stalled(),
+                                 name="dfs-retry-stalled")
             return
 
         def _repair(sim: Simulator):
@@ -769,11 +784,20 @@ class DistributedFS:
         for block in affected:
             slots = [idx for idx, n in block.locations.items() if n == dead]
             for idx in slots:
-                self.repairs_started += 1
-                if block.mode == "replicate":
-                    yield from self._rereplicate(block, idx)
-                else:
-                    yield from self._reconstruct_fragment(block, idx)
+                yield from self._repair_piece(block, idx)
+
+    def _retry_stalled(self):
+        """Retry every stalled repair, in order (after a node recovers).
+
+        A slot that is live again (its node came back) needs nothing.
+        """
+        pending = sorted(self._stalled)
+        self._stalled.clear()
+        for bid, slot in pending:
+            block = self._blocks[bid]
+            node = block.locations.get(slot)
+            if node is None or not self.cluster.nodes[node].alive:
+                yield from self._repair_piece(block, slot)
 
     def _repair_session(self, block: BlockInfo, slot: int) -> RetrySession:
         """Per-repair retry state under the configured (or default) policy."""
@@ -803,59 +827,6 @@ class DistributedFS:
                            attempts=len(session.history))
             return -1.0
 
-    def _rereplicate(self, block: BlockInfo, slot: int):
-        # Bounded retry: the chosen target can itself die while the copy is
-        # in flight.  Its fail event fired before ``block.locations`` named
-        # it, so no repair watcher will ever re-protect this slot — commit
-        # the new location only after re-checking the target is alive, and
-        # otherwise pick a fresh target.  The retry session bounds the
-        # target deaths and sets the backoff; a corrupt-source pass costs
-        # no attempt, but quarantines a piece, so the loop still ends.
-        session = self._repair_session(block, slot)
-        op = f"rereplicate:b{block.block_id}s{slot}"
-        while True:
-            live = self._live_replicas(block)
-            live = [n for n in live if n != block.locations.get(slot)]
-            if not live:
-                return   # unrecoverable; surfaced on next read
-            exclude = set(block.nodes())
-            candidates = [n.name for n in self.cluster.live_nodes()
-                          if n.name not in exclude]
-            if not candidates:
-                return
-            target = str(self.rng.choice(self._prefer_unbroken(candidates)))
-            span = self._begin_repair_span(block, slot, target)
-            src = self._closest(target, self._prefer_unbroken(live))
-            # never clone a corrupt copy: the source replica's checksums
-            # are verified before any bytes move, and a rotten source is
-            # quarantined (leaving ``block.locations`` immediately) so
-            # the retry picks from the remaining clean replicas
-            src_slot = self._slot_of(block, src)
-            if src_slot is not None and \
-                    not self._verify_piece(block, src_slot):
-                self._quarantine(block, src_slot, src)
-                self._end_repair_span(span, "source_corrupt")
-                continue
-            yield self.cluster.nodes[src].disk_read(block.size)
-            yield self.cluster.transfer(src, target, block.size)
-            yield self.cluster.nodes[target].disk_write(block.size)
-            self.repair_bytes += block.size
-            if self.cluster.nodes[target].alive:
-                self._discard_piece(block, slot)
-                block.locations[slot] = target
-                if src_slot is not None:
-                    self._copy_piece(block.block_id, src_slot, slot)
-                if self.breaker is not None:
-                    self.breaker.record_success(target, self.sim.now)
-                self._end_repair_span(span, "ok")
-                return
-            self._end_repair_span(span, "target_lost")
-            delay = self._repair_failed(session, op, "target_lost")
-            if delay < 0:
-                return   # policy exhausted: abandoned, typed + counted
-            if delay > 0:
-                yield self.sim.timeout(delay)
-
     def _begin_repair_span(self, block: BlockInfo, slot: int,
                            target: str):
         tr = obs_trace.get_tracer()
@@ -870,45 +841,61 @@ class DistributedFS:
         if tr is not None and span is not None:
             tr.end(span, self.sim.now, outcome=outcome)
 
-    def _reconstruct_fragment(self, block: BlockInfo, slot: int):
-        k = self.codec.k
-        frag_size = self.codec.fragment_size(block.size)
-        # same mid-repair target-death hazard as _rereplicate: commit only
-        # after the target proves alive, otherwise retry with a new one
-        # (attempt bound and backoff from the retry session)
+    def _repair_piece(self, block: BlockInfo, slot: int):
+        """Re-protect ``slot`` of ``block`` on a new node: the one repair path.
+
+        A replica is copied from the live replica closest to the target;
+        a fragment is rebuilt from the lowest k live fragments and freshly
+        sealed.  Sources are verified before any bytes move, and a rotten
+        one is quarantined and the pass retried (costing no attempt), so
+        a corrupt copy is never cloned.  The target can die while the
+        piece is in flight; its fail event fired before
+        ``block.locations`` named it, so no watcher would re-protect the
+        slot: the location is committed only once the target proves alive
+        after the write, otherwise a fresh target is drawn, with the
+        retry session bounding the deaths and setting the backoff.  A
+        repair that finds too few live sources or no target is stalled
+        (counted) and retried when a node recovers.
+        """
+        self.repairs_started += 1
         session = self._repair_session(block, slot)
-        op = f"reconstruct:b{block.block_id}s{slot}"
+        op = f"repair:b{block.block_id}s{slot}"
+        replicate = block.mode == "replicate"
+        need = 1 if replicate else self.codec.k
+        size = self._piece_size(block)
         while True:
-            live = {idx: n for idx, n in block.locations.items()
-                    if self.cluster.nodes[n].alive and idx != slot}
-            if len(live) < k:
-                return   # unrecoverable for now
+            live = {s: n for s, n in block.locations.items()
+                    if s != slot and self.cluster.nodes[n].alive}
             exclude = set(block.nodes())
             candidates = [n.name for n in self.cluster.live_nodes()
                           if n.name not in exclude]
-            if not candidates:
+            if len(live) < need or not candidates:
+                self._stalled.add((block.block_id, slot))
+                self.repairs_stalled += 1
                 return
             target = str(self.rng.choice(self._prefer_unbroken(candidates)))
             span = self._begin_repair_span(block, slot, target)
-            sources = sorted(live)[:k]
-            # a corrupt source fragment would poison the whole
-            # reconstruction: verify all k sources first, quarantine any
-            # rotten one and retry with the surviving fragments
-            rotten = [i for i in sources if not self._verify_piece(block, i)]
-            if rotten:
-                for i in rotten:
-                    self._quarantine(block, i, live[i])
+            if replicate:
+                src = self._closest(
+                    target, self._prefer_unbroken(list(live.values())))
+                sources = [self._slot_of(block, src)]
+            else:
+                sources = sorted(live)[:need]
+            if not self._pieces_clean(block, sources):
                 self._end_repair_span(span, "source_corrupt")
                 continue
-            evs = []
-            for idx in sources:
-                node = live[idx]
-                evs.append(self.cluster.nodes[node].disk_read(frag_size))
-                if node != target:
-                    evs.append(self.cluster.transfer(node, target, frag_size))
-            yield self.sim.all_of(evs)
-            yield self.cluster.nodes[target].disk_write(frag_size)
-            self.repair_bytes += frag_size * k
+            # a replica streams read → transfer; fragments are read and
+            # shipped in parallel (each sequence fixes simulated time)
+            if replicate:
+                yield self.cluster.nodes[src].disk_read(size)
+                yield self.cluster.transfer(src, target, size)
+            else:
+                yield self.sim.all_of([
+                    ev for i in sources for ev in (
+                        self.cluster.nodes[live[i]].disk_read(size),
+                        self.cluster.transfer(live[i], target, size))])
+            yield self.cluster.nodes[target].disk_write(size)
+            self.repair_bytes += size * need
             if not self.cluster.nodes[target].alive:
                 self._end_repair_span(span, "target_lost")
                 delay = self._repair_failed(session, op, "target_lost")
@@ -917,15 +904,20 @@ class DistributedFS:
                 if delay > 0:
                     yield self.sim.timeout(delay)
                 continue
-            # regenerate real content when stored (freshly sealed)
-            frags = {i: self._content[(block.block_id, i)] for i in sources
-                     if (block.block_id, i) in self._content}
             self._discard_piece(block, slot)
-            if len(frags) >= k:
-                orig_len = self._block_data_len.get(block.block_id, block.size)
-                self._store_piece(
-                    block.block_id, slot,
-                    self.codec.reconstruct_fragment(frags, slot, orig_len))
+            if replicate:
+                self._copy_piece(block.block_id, sources[0], slot)
+            else:
+                frags = {i: self._content[(block.block_id, i)]
+                         for i in sources
+                         if (block.block_id, i) in self._content}
+                if len(frags) >= need:
+                    orig_len = self._block_data_len.get(block.block_id,
+                                                        block.size)
+                    self._store_piece(
+                        block.block_id, slot,
+                        self.codec.reconstruct_fragment(frags, slot,
+                                                        orig_len))
             block.locations[slot] = target
             if self.breaker is not None:
                 self.breaker.record_success(target, self.sim.now)
@@ -977,8 +969,7 @@ class DistributedFS:
                 for block in self._blocks.values():
                     holders = set(block.nodes())
                     if fullest in holders and emptiest not in holders:
-                        size = (block.size if block.mode == "replicate"
-                                else self.codec.fragment_size(block.size))
+                        size = self._piece_size(block)
                         if usage[fullest] - size < usage[emptiest] + size \
                                 - threshold * mean:
                             continue   # this move would overshoot
@@ -1001,8 +992,7 @@ class DistributedFS:
         """Bytes stored per live node (balancer metric)."""
         usage = {n.name: 0.0 for n in self.cluster.live_nodes()}
         for b in self._blocks.values():
-            size = (b.size if b.mode == "replicate"
-                    else self.codec.fragment_size(b.size))
+            size = self._piece_size(b)
             for node in b.locations.values():
                 if node in usage:
                     usage[node] += size
@@ -1010,10 +1000,5 @@ class DistributedFS:
 
     def stored_bytes(self) -> float:
         """Total bytes currently stored across all replicas/fragments."""
-        total = 0.0
-        for b in self._blocks.values():
-            if b.mode == "replicate":
-                total += b.size * len(b.locations)
-            else:
-                total += self.codec.fragment_size(b.size) * len(b.locations)
-        return total
+        return sum(self._piece_size(b) * len(b.locations)
+                   for b in self._blocks.values())

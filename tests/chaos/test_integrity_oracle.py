@@ -115,6 +115,15 @@ class TestEngineCorruption:
         assert report.ok, report.failures
 
 
+    # the DFS leg: a stalled repair retried on node recovery (37, 298,
+    # 324) and an injector that rotted a block's last clean pieces (121,
+    # 387)
+    @pytest.mark.parametrize("seed", [37, 121, 298, 324, 387])
+    def test_dfs_protection_restored(self, seed):
+        report = check_integrity(seed)
+        assert report.ok, report.failures
+
+
 class TestDFSCorruption:
     def test_corrupt_piece_detected_and_healed(self):
         sim = Simulator()
@@ -132,6 +141,33 @@ class TestDFSCorruption:
         assert chaos.trace.count("data_corrupt") == 1
         assert dfs.integrity_detected == 1
         assert dfs.audit_integrity() == []
+        got, _ = sim.run_until_done(dfs.read("/f.bin", reader="h2_2"))
+        assert got == payload
+
+    @pytest.mark.parametrize("mode", ["replicate", "ec"])
+    def test_corruption_keeps_a_readable_clean_set(self, mode):
+        # far more rot than any block can take: every block must keep a
+        # clean replica (or k clean fragments), the rest is skipped
+        sim = Simulator()
+        cl = make_cluster(sim, n_racks=3, nodes_per_rack=3)
+        dfs = DistributedFS(cl, DFSConfig(block_size=64 * 1024, ec_k=4,
+                                          ec_m=2, auto_repair=False),
+                            seed=3)
+        payload = np.random.default_rng(17).bytes(150_000)
+        sim.run_until_done(dfs.write("/f.bin", data=payload,
+                                     writer="h0_0", mode=mode))
+        plan = FaultPlan.scripted(
+            [FaultEvent(1.0, "data_corrupt", magnitude=20)], seed=4)
+        chaos = DFSChaos(dfs, plan)
+        chaos.start()
+        sim.run(until=5.0)
+        need = 1 if mode == "replicate" else dfs.codec.k
+        rotten = dfs.audit_integrity()
+        for block in dfs.blocks_of("/f.bin"):
+            bad = sum(1 for bid, _s in rotten if bid == block.block_id)
+            assert len(block.locations) - bad == need
+        assert chaos.trace.count("data_corrupt") == len(rotten)
+        assert chaos.trace.count("data_corrupt_skipped") == 20 - len(rotten)
         got, _ = sim.run_until_done(dfs.read("/f.bin", reader="h2_2"))
         assert got == payload
 

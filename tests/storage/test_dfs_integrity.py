@@ -120,13 +120,14 @@ class TestRepairSourceAudit:
             assert got == data
 
     def test_repair_starved_of_clean_sources_refuses_rot(self):
-        """When the only live source is corrupt, repair must abandon.
+        """When the only live source is corrupt, repair must stall.
 
         Kill the two nodes holding clean replicas: re-replication's only
         candidate source fails verification, is quarantined, and the
-        repair gives up — the block goes unavailable (loud) instead of
+        repair stalls — the block goes unavailable (loud) instead of
         re-protecting itself with rotten bytes (silent).  Recovering a
-        clean node restores correct service.
+        clean node restores correct service and retries the stalled
+        repairs back to full replication.
         """
         sim, cl, fs = setup(detection_delay=0.5)
         data = payload()
@@ -143,6 +144,34 @@ class TestRepairSourceAudit:
             sim.run_until_done(fs.read("/f", reader="h1_0"))
         cl.nodes[n0].recover()
         got, _ = sim.run_until_done(fs.read("/f", reader="h1_0"))
+        assert got == data
+        sim.run()
+        assert fs.metrics.value("dfs.repairs_stalled") >= 1
+        live = [s for s, n in block.locations.items() if cl.nodes[n].alive]
+        assert len(live) == fs.config.replication
+        assert fs.audit_integrity() == []
+
+    def test_ec_stripe_below_k_recovers_with_its_node(self):
+        sim, cl, fs = setup(ec_k=4, ec_m=2, detection_delay=0.5)
+        data = payload(200_000, seed=5)
+        write(sim, fs, "/e", data, mode="ec")
+        block = fs.blocks_of("/e")[0]
+        # two rotten fragments and fragment 0's node down: repairing
+        # slot 0 quarantines 1 and 2, which leaves 3 < k live fragments,
+        # so every repair of the stripe stalls until that node is back
+        fs.corrupt_piece(block.block_id, 1)
+        fs.corrupt_piece(block.block_id, 2)
+        n0 = block.locations[0]
+        cl.nodes[n0].fail()
+        sim.run(until=sim.now + 60.0)
+        assert sorted(block.locations) == [0, 3, 4, 5]
+        assert fs.metrics.value("dfs.repairs_stalled") >= 1
+        cl.nodes[n0].recover()
+        sim.run()
+        assert sorted(block.locations) == list(range(6))
+        assert all(cl.nodes[n].alive for n in block.locations.values())
+        assert fs.audit_integrity() == []
+        got, _ = sim.run_until_done(fs.read("/e", reader="h2_1"))
         assert got == data
 
     def test_ec_reconstruction_skips_rotten_source(self):
