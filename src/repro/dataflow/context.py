@@ -7,10 +7,10 @@ by default; setting :attr:`DataflowContext.backend` to ``"pool"`` (or
 exporting ``REPRO_BACKEND=pool``) routes them through the warm
 multi-process :class:`~repro.dataflow.mp.ProcessPoolBackend` instead.
 
-Execution choices that never change results — fusion, columnar SQL,
-shuffle checksums, adaptive query execution — live in one frozen
-:class:`ExecOptions` per context (``ctx.options``); change them by
-assigning a new value (``dataclasses.replace``).
+Execution choices — fusion, columnar SQL, shuffle checksums, adaptive
+query execution — live in one frozen :class:`ExecOptions` per context
+(``ctx.options``); change them by assigning a new value
+(``dataclasses.replace``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ BACKENDS = ("inprocess", "pool")
 
 @dataclass(frozen=True)
 class ExecOptions:
-    """How a context executes; every combination gives the same results.
+    """How a context executes (DESIGN.md's execution-contract table).
+
+    ``fusion`` and ``checksums`` change neither result bytes nor
+    simulated time; ``columnar`` keeps rows and their order; ``adaptive``
+    keeps the rows as a multiset (ordered queries byte-equal), float
+    aggregates within re-association error.
 
     ``fusion``: compile narrow chains into one generator
     (:mod:`~repro.dataflow.fusion`).  ``columnar``: lower DataFrame

@@ -19,7 +19,7 @@ Implements the full Spark-style execution model:
 from __future__ import annotations
 
 import zlib
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -60,6 +60,12 @@ __all__ = ["EngineConfig", "SimEngine", "JobMetrics", "JobResult",
 DEFAULT_TASK_RETRY = RetryPolicy(max_attempts=5)
 
 
+#: Speculation backs up an attempt once this fraction of its stage has
+#: finished and it has run this multiple of their median duration.
+SPECULATION_MIN_FRAC = 0.5
+SPECULATION_MULTIPLIER = 1.5
+
+
 class MissingShuffleError(DataflowError):
     """A reduce task found map outputs gone (node loss); triggers recovery."""
 
@@ -75,12 +81,9 @@ class EngineConfig:
 
     locality_wait: float = 0.0          # delay-scheduling wait per level (s)
     speculation: bool = False
-    speculation_multiplier: float = 1.5  # straggler threshold vs median
-    speculation_min_frac: float = 0.5    # completed fraction before speculating
     check_interval: float = 0.25         # scheduler poll period (s); idle
     # stages wait purely on the task inbox, so a stage with everything
     # launched and nothing to speculate creates zero timer events
-    shuffle_to_disk: bool = True         # charge disk for map output writes
     executor_memory: float = float("inf")   # bytes a task may hold in RAM;
     # shuffle input beyond it spills (one disk write + read of the excess)
     resilience: Optional[ResiliencePolicies] = None
@@ -227,18 +230,25 @@ class _SimRuntime(TaskRuntime):
             self.node, records, nbytes)
 
 
+#: A kind of duplicate attempt: the :class:`JobMetrics` fields that count
+#: its launches and wins, and the registry prefix of its ``.launched`` /
+#: ``.wins`` counters and ``.launch`` trace instant.
+_Backup = namedtuple("_Backup", "launches wins registry")
+SPECULATIVE = _Backup("n_speculative", "n_spec_wins", None)
+HEDGED = _Backup(None, None, "resilience.hedge")
+
+
 class _Attempt:
-    __slots__ = ("split", "node", "started", "alive", "speculative",
-                 "hedged", "released", "span", "_inbox")
+    __slots__ = ("split", "node", "started", "alive", "backup",
+                 "released", "span", "_inbox")
 
     def __init__(self, split: int, node: str, started: float,
-                 speculative: bool, hedged: bool = False) -> None:
+                 backup: Optional[_Backup] = None) -> None:
         self.split = split
         self.node = node
         self.started = started
         self.alive = True
-        self.speculative = speculative
-        self.hedged = hedged
+        self.backup = backup     # None for a first attempt or a retry
         # slot accounting is idempotent: True once this attempt's core slot
         # has been given back (or died with its node)
         self.released = False
@@ -674,14 +684,16 @@ class SimEngine:
                 if not pending_get.triggered:
                     # periodic tick: maybe speculate / hedge stragglers
                     if cfg.speculation:
-                        self._maybe_speculate(stage, attempts, done_splits,
-                                              durations, metrics, inbox,
-                                              per_partition, len(todo),
-                                              stage_span)
+                        self._launch_backups(
+                            SPECULATIVE, self._speculation_delay(
+                                len(done_splits), durations, len(todo)),
+                            None, stage, attempts, done_splits, metrics,
+                            inbox, per_partition, stage_span)
                     if hedge_armed:
-                        self._maybe_hedge(stage, attempts, done_splits,
-                                          durations, metrics, inbox,
-                                          per_partition, stage_span, hedge)
+                        self._launch_backups(
+                            HEDGED, hedge.delay(durations), hedge.max_hedges,
+                            stage, attempts, done_splits, metrics, inbox,
+                            per_partition, stage_span)
                     continue
                 res: _TaskResult = pending_get.value
                 pending_get = None
@@ -701,12 +713,9 @@ class SimEngine:
                     results[res.split] = res.value
                     for acc, stash in res.acc_stashes:
                         acc._apply(stash)      # exactly once: winners only
-                    if res.attempt.speculative:
-                        metrics.n_spec_wins += 1
-                    if res.attempt.hedged:
-                        reg = obs_metrics.get_registry()
-                        if reg is not None:
-                            reg.counter("resilience.hedge.wins").inc()
+                    if res.attempt.backup is not None:
+                        self._count_backup(res.attempt.backup, metrics,
+                                           won=True)
                     session.record_success(
                         f"s{stage.stage_id}t{res.split}", self.sim.now)
                     continue
@@ -845,29 +854,25 @@ class SimEngine:
                 else:
                     metrics.locality_any += 1
             self._launch(stage, split, node_name, attempts, metrics, inbox,
-                         per_partition, speculative=False,
-                         stage_span=stage_span)
+                         per_partition, stage_span=stage_span)
         pending.extend(deferred)
 
     def _launch(self, stage: Stage, split: int, node_name: str, attempts,
                 metrics: JobMetrics, inbox: Store, per_partition,
-                speculative: bool, stage_span: Optional[int] = None,
-                hedged: bool = False) -> None:
+                stage_span: Optional[int] = None,
+                backup: Optional[_Backup] = None) -> None:
         self._free_slots[node_name] -= 1
-        attempt = _Attempt(split, node_name, self.sim.now, speculative,
-                           hedged=hedged)
+        attempt = _Attempt(split, node_name, self.sim.now, backup)
         attempt._inbox = inbox
         attempts.setdefault(split, []).append(attempt)
         self._running_by_node.setdefault(node_name, {})[attempt] = None
         metrics.n_tasks += 1
-        if speculative:
-            metrics.n_speculative += 1
         tr = obs_trace.get_tracer()
         if tr is not None:
             attempt.span = tr.begin(
                 "task", self.sim.now, lane=("engine", node_name), cat="task",
                 parent=stage_span, stage_id=stage.stage_id, split=split,
-                speculative=speculative)
+                speculative=backup is SPECULATIVE)
         self.sim.process(
             self._task_proc(stage, split, attempt, metrics, inbox,
                             per_partition),
@@ -882,71 +887,56 @@ class SimEngine:
         return min(candidates, key=lambda n: (-self._free_slots[n], n),
                    default=None)
 
-    def _maybe_speculate(self, stage: Stage, attempts, done_splits,
-                         durations, metrics: JobMetrics, inbox: Store,
-                         per_partition, n_total: int,
-                         stage_span: Optional[int] = None) -> None:
-        cfg = self.config
-        if len(done_splits) < cfg.speculation_min_frac * n_total or \
-                not durations:
-            return
+    def _speculation_delay(self, n_done: int, durations: List[float],
+                           n_total: int) -> Optional[float]:
+        """How long a straggler runs before speculation backs it up, or
+        None while too few splits have finished to judge."""
+        if n_done < SPECULATION_MIN_FRAC * n_total or not durations:
+            return None
         med = sorted(durations)[len(durations) // 2]
-        threshold = max(cfg.speculation_multiplier * med, 2 * cfg.check_interval)
-        for split, atts in attempts.items():
-            if split in done_splits:
-                continue
-            live = [a for a in atts if a.alive]
-            if not live or len(live) >= 2:
-                continue   # nothing running (will be relaunched) or already speculated
-            a = live[0]
-            if self.sim.now - a.started < threshold:
-                continue
-            node = self._backup_node(a)
-            if node is None:
-                continue
-            self._launch(stage, split, node, attempts, metrics,
-                         inbox, per_partition, speculative=True,
-                         stage_span=stage_span)
+        return max(SPECULATION_MULTIPLIER * med,
+                   2 * self.config.check_interval)
 
-    def _maybe_hedge(self, stage: Stage, attempts, done_splits, durations,
-                     metrics: JobMetrics, inbox: Store, per_partition,
-                     stage_span: Optional[int], hedge) -> None:
-        """Launch duplicate attempts for tail stragglers under HedgePolicy.
-
-        Unlike speculation (median-relative, needs a completed fraction),
-        hedging triggers on an absolute tail-quantile delay estimated from
-        this stage's completed durations, and is bounded per split by
-        ``max_hedges``.  Losers are discarded by the normal
-        duplicate-result path, so a hedge can never change the answer.
-        """
-        delay = hedge.delay(durations)
+    def _launch_backups(self, kind: _Backup, delay: Optional[float],
+                        cap: Optional[int], stage: Stage, attempts,
+                        done_splits, metrics: JobMetrics, inbox: Store,
+                        per_partition, stage_span: Optional[int]) -> None:
+        """Back up, on :meth:`_backup_node`, every unfinished split whose
+        one live attempt has run ``delay`` or longer and has fewer than
+        ``cap`` backups of ``kind``.  Speculation and hedging differ only
+        in ``kind``, ``delay`` and ``cap``; losers are discarded by the
+        duplicate-result path, so a backup never changes the answer."""
         if delay is None:
             return
         for split, atts in attempts.items():
-            if split in done_splits:
-                continue
             live = [a for a in atts if a.alive]
-            if len(live) != 1:
-                continue   # not running, or already duplicated
-            if sum(1 for a in atts if a.hedged) >= hedge.max_hedges:
+            # none live: it will be relaunched; two live: backed up already
+            if split in done_splits or len(live) != 1 \
+                    or self.sim.now - live[0].started < delay \
+                    or (cap is not None
+                        and sum(a.backup is kind for a in atts) >= cap):
                 continue
-            a = live[0]
-            if self.sim.now - a.started < delay:
-                continue
-            node = self._backup_node(a)
+            node = self._backup_node(live[0])
             if node is None:
                 continue
-            reg = obs_metrics.get_registry()
-            if reg is not None:
-                reg.counter("resilience.hedge.launched").inc()
+            self._count_backup(kind, metrics, won=False)
             tr = obs_trace.get_tracer()
-            if tr is not None:
-                tr.instant("resilience.hedge.launch", self.sim.now,
+            if tr is not None and kind.registry is not None:
+                tr.instant(f"{kind.registry}.launch", self.sim.now,
                            lane=("engine", node), cat="resilience",
                            stage_id=stage.stage_id, split=split, delay=delay)
-            self._launch(stage, split, node, attempts, metrics,
-                         inbox, per_partition, speculative=False,
-                         stage_span=stage_span, hedged=True)
+            self._launch(stage, split, node, attempts, metrics, inbox,
+                         per_partition, stage_span=stage_span, backup=kind)
+
+    @staticmethod
+    def _count_backup(kind: _Backup, metrics: JobMetrics, won: bool) -> None:
+        name = kind.wins if won else kind.launches
+        if name is not None:
+            setattr(metrics, name, getattr(metrics, name) + 1)
+        reg = obs_metrics.get_registry()
+        if reg is not None and kind.registry is not None:
+            reg.counter(f"{kind.registry}.{'wins' if won else 'launched'}"
+                        ).inc()
 
     def _release_slot(self, attempt: _Attempt) -> None:
         # Idempotent: an attempt's result can surface more than once (a
@@ -1071,10 +1061,9 @@ class SimEngine:
             if reg is not None:
                 reg.counter("engine.shuffle_write_bytes").inc(
                     sum(bucket_bytes))
-            if self.config.shuffle_to_disk:
-                total = sum(bucket_bytes)
-                if total > 0:
-                    yield node.disk_write(total)
+            total = sum(bucket_bytes)
+            if total > 0:
+                yield node.disk_write(total)
             if attempt.alive:
                 # sealed buckets are verified at reduce fetch; a corrupt
                 # one drops the map output and rides lineage recovery

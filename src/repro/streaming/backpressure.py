@@ -97,13 +97,15 @@ class CreditLink:
             self._credits.put(1.0)
 
 
+SOURCE_INTERVAL = 0.1    # source ingest tick (s)
+CHUNK_RECORDS = 512      # max records per source chunk
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the credit-based event pipeline."""
 
     batch_interval: float = 0.5        # batcher assembly tick
-    source_interval: float = 0.1       # source ingest tick
-    chunk_records: int = 512           # max records per source chunk
     per_record_cost: float = 2e-4      # operator seconds per record (serial)
     parallelism: int = 2               # operator work divides this many ways
     scheduling_overhead: float = 0.02  # fixed operator seconds per batch
@@ -124,10 +126,8 @@ class PipelineConfig:
     vectorized: bool = True
 
     def __post_init__(self) -> None:
-        if self.batch_interval <= 0 or self.source_interval <= 0:
-            raise StreamingError("intervals must be positive")
-        if self.chunk_records < 1 or self.parallelism < 1:
-            raise StreamingError("bad chunk size or parallelism")
+        if self.batch_interval <= 0 or self.parallelism < 1:
+            raise StreamingError("bad batch_interval or parallelism")
         if self.window.kind == "session":
             raise StreamingError(
                 "the watermark operator needs tumbling or sliding windows")
@@ -209,7 +209,7 @@ def run_event_pipeline(events, config: PipelineConfig,
         # cover one batch interval of capacity intake (plus slack) or
         # the credit window caps throughput below compute capacity
         capacity = config.parallelism / config.per_record_cost
-        per_interval = capacity * config.batch_interval / config.chunk_records
+        per_interval = capacity * config.batch_interval / CHUNK_RECORDS
         in_credits: Optional[int] = max(credits, int(math.ceil(per_interval)) + 2)
     else:
         in_credits = None
@@ -238,7 +238,7 @@ def run_event_pipeline(events, config: PipelineConfig,
         i = 0
         while i < n_total:
             t0 = sim.now
-            yield sim.timeout(config.source_interval)
+            yield sim.timeout(SOURCE_INTERVAL)
             j = int(np.searchsorted(arrival, sim.now, side="right"))
             if j == i:
                 continue
@@ -256,8 +256,8 @@ def run_event_pipeline(events, config: PipelineConfig,
                 # order, so the tail of the tick's slice is dropped
                 j = lo + admitted
             inflight.inc(j - lo)
-            for k in range(lo, j, config.chunk_records):
-                hi = min(k + config.chunk_records, j)
+            for k in range(lo, j, CHUNK_RECORDS):
+                hi = min(k + CHUNK_RECORDS, j)
                 chunk = EventBatch(ts[k:hi], keys[k:hi], values[k:hi])
                 mean_arr = float(arrival[k:hi].mean())
                 source_backlog.inc(hi - k)

@@ -1,10 +1,9 @@
 """Multi-process backend: pool execution must be indistinguishable.
 
-Property tests assert byte-identical (pickle-equal) results between the
-in-process local executor and the warm process pool for random narrow
-chains and shuffle workloads, plus the failure-path contracts: worker
-death recovers through the resilience retry ledger, user errors re-raise
-driver-side, and the fork/spawn-safe segment cache primes per process.
+The equivalence lattice holds pool results to in-process ones.  The
+tests here cover actions, shared variables, cache handling and the
+failure paths: worker death recovers through the retry ledger, user
+errors re-raise driver-side, and the segment cache primes per process.
 """
 
 import os
@@ -60,13 +59,6 @@ def collect_both_backends(build, pool, parallelism=4, options=ExecOptions()):
 # -- randomized equivalence ------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_random_chain_pool_byte_identical(seed, pool):
-    local, pooled = collect_both_backends(
-        lambda ctx, _s=seed: random_chain(ctx, random.Random(_s)), pool)
-    assert local == pooled
-
-
 @pytest.mark.parametrize("fused", [True, False])
 def test_pool_fusion_toggle_reprimes(fused, pool):
     # the fusion option rides to the workers on the primed context: a
@@ -74,47 +66,6 @@ def test_pool_fusion_toggle_reprimes(fused, pool):
     local, pooled = collect_both_backends(
         lambda ctx: random_chain(ctx, random.Random(3)), pool,
         options=ExecOptions(fusion=fused))
-    assert local == pooled
-
-
-def shuffle_workloads():
-    def wordcount(ctx):
-        words = [f"w{i % 23}" for i in range(300)]
-        return (ctx.parallelize(words, 5)
-                .map(lambda w: (w, 1))
-                .reduce_by_key(lambda a, b: a + b, 4))
-
-    def sort(ctx):
-        rng = random.Random(7)
-        data = [rng.randrange(1000) for _ in range(200)]
-        return ctx.parallelize(data, 4).key_by(lambda x: x).sort_by_key()
-
-    def join(ctx):
-        a = ctx.parallelize([(i % 11, i) for i in range(120)], 4)
-        b = ctx.parallelize([(i % 7, -i) for i in range(90)], 3)
-        return a.join(b, 5)
-
-    def distinct_group(ctx):
-        return (ctx.parallelize([i % 17 for i in range(250)], 6)
-                .distinct(4)
-                .key_by(lambda x: x % 3)
-                .group_by_key(2))
-
-    def chained_shuffles(ctx):
-        return (ctx.parallelize(range(200), 5)
-                .map(lambda x: (x % 13, x))
-                .reduce_by_key(lambda a, b: a + b, 4)
-                .map(lambda kv: (kv[1] % 5, kv[0]))
-                .group_by_key(3)
-                .map_values(sorted))
-
-    return [wordcount, sort, join, distinct_group, chained_shuffles]
-
-
-@pytest.mark.parametrize("build", shuffle_workloads(),
-                         ids=lambda f: f.__name__)
-def test_shuffle_workloads_pool_byte_identical(build, pool):
-    local, pooled = collect_both_backends(build, pool)
     assert local == pooled
 
 

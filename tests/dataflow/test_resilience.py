@@ -1,6 +1,7 @@
 """Engine x resilience policies: deadlines, retry budgets, backoff, hedging."""
 
 import operator
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.common.errors import (
 )
 from repro.dataflow import CostModel, DataflowContext, EngineConfig, SimEngine
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.trace import trace_to
 from repro.resilience import HedgePolicy, ResiliencePolicies, RetryPolicy
 from repro.simcore import Simulator
 
@@ -151,3 +153,31 @@ class TestHedging:
                         max_hedges=1))
         # 2 splits land on the slow node; at most one hedge per split
         assert reg.value("resilience.hedge.launched") <= 2
+
+
+def test_speculation_and_hedging_together():
+    def run(policies, speculation):
+        sim, _cl, ctx, eng = _env(policies, speculation=speculation,
+                                  check_interval=0.05,
+                                  speed_factors=[1] * 6 + [0.3, 0.1])
+        ds = (ctx.range(4000, 16).map(lambda x: (x % 16, x * 2))
+              .group_by_key(8).map_values(sorted))
+        with trace_to() as tracer:
+            return sim.run_until_done(eng.collect(ds)), tracer
+    both = ResiliencePolicies(hedge=HedgePolicy(quantile=0.5, multiplier=2.0,
+                                                min_samples=3))
+    res, tracer = run(both, True)
+    assert res.value == run(None, False)[0].value
+    # the long map stage speculates; the short reduce stage, under
+    # speculation's two-poll floor, hedges
+    assert res.metrics.n_speculative > 0
+    assert any(i[1] == "resilience.hedge.launch" for i in tracer.instants)
+    # live attempts per split over task-span edges (ends sort first)
+    live, peak = Counter(), 0
+    for _t, delta, *split in sorted(
+            (t, d, s.attrs["stage_id"], s.attrs["split"])
+            for s in tracer.find("task") for t, d in ((s.t0, 1), (s.t1, -1))):
+        live[tuple(split)] += delta
+        peak = max(peak, live[tuple(split)])
+    assert peak == 2
+    assert run(both, True)[1].signature() == tracer.signature()

@@ -1,10 +1,9 @@
 """Columnar vs row-interpreter equivalence.
 
-Every supported query shape — and a seeded randomized query generator —
-must produce identical rows (order-normalized by repr; exactly ordered
-where the contract promises it) from the vectorized and interpreted
-engines, including across the UDF-fallback boundary and on the simulated
-cluster.
+Every supported query shape must produce identical rows
+(order-normalized by repr; exactly ordered where the contract promises
+it) from the vectorized and interpreted engines, including across the
+UDF-fallback boundary and on the simulated cluster.
 """
 
 import dataclasses
@@ -207,50 +206,6 @@ class TestUdfBoundary:
                 lambda s: s.endswith(("1", "3")), "odd_ish"))
                .group_by("region")
                .agg(t=sum_(col("qty").apply(lambda v: v * 10, "tens"))))
-
-
-# -- randomized query generator -------------------------------------------
-
-
-def random_query(df, rng):
-    numeric = ["price", "qty"]
-    cats = ["region", "product"]
-    q = df
-    for _ in range(rng.randrange(1, 5)):
-        kind = rng.randrange(4)
-        if kind == 0:
-            c = rng.choice(numeric)
-            q = q.where(col(c) > rng.uniform(0, 8))
-        elif kind == 1:
-            c = rng.choice(numeric)
-            name = f"d{rng.randrange(1000)}"
-            q = q.with_column(name, col(c) * rng.randrange(1, 4) + 1)
-            numeric = numeric + [name]
-        elif kind == 2:
-            c = rng.choice(numeric)
-            name = f"u{rng.randrange(1000)}"
-            q = q.with_column(
-                name, col(c).apply(lambda v, _m=rng.randrange(2, 5):
-                                   (v * _m) if v else v, "udf"))
-            numeric = numeric + [name]
-        else:
-            q = q.where(~(col(rng.choice(cats)) == rng.choice(
-                ["na", "p1", "p7", "zz"])))
-    if rng.random() < 0.6:
-        keys = rng.sample(cats, rng.randrange(1, 3))
-        c = rng.choice(numeric)
-        q = q.group_by(*keys).agg(
-            n=count_(), s=sum_(col(c)), m=avg_(col(c)),
-            lo=min_(col(c)), hi=max_(col(c)))
-    return q
-
-
-@pytest.mark.parametrize("seed", range(15))
-def test_randomized_queries_equivalent(ctx, seed):
-    rng = random.Random(seed)
-    df = DataFrame.from_rows(ctx, sales_rows(n=250, seed=seed))
-    q = random_query(df, rng)
-    both(q)
 
 
 # -- counted row-interpreter fallback --------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from repro.dataflow import DataflowContext, ExecOptions, ProcessPoolBackend
 from repro.sql import AdaptiveConfig, DataFrame, avg_, col, count_, sum_
 
-from .test_columnar import random_query, sales_rows
+from .test_columnar import sales_rows
 
 
 @pytest.fixture(scope="module")
@@ -35,17 +35,6 @@ def collect_both_backends(build, pool, options=ExecOptions()):
 
 def aqe_options(adaptive, config=AdaptiveConfig()):
     return ExecOptions(adaptive=config if adaptive else None)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_random_queries_pool_identical(seed, pool):
-    def build(ctx):
-        df = DataFrame.from_rows(ctx, sales_rows(n=250, seed=seed))
-        return random_query(df, random.Random(seed))
-    local, pooled = collect_both_backends(build, pool)
-    # repr-exact, order-exact (pickle bytes can differ only in object
-    # sharing across rows, which deserialization does not preserve)
-    assert list(map(repr, local)) == list(map(repr, pooled))
 
 
 @pytest.mark.parametrize("columnar", [True, False])
@@ -82,20 +71,6 @@ def _join_tables(seed, n=220, nulls=True):
     fact = [{"k": rng.choice(pool_keys), "v": i} for i in range(n)]
     dim = [{"k": rng.choice(pool_keys), "w": i * 3} for i in range(n // 4)]
     return fact, dim
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("adaptive", [False, True])
-def test_join_queries_pool_identical(seed, adaptive, pool):
-    fact, dim = _join_tables(seed)
-    how = ("inner", "left")[seed % 2]
-
-    def build(ctx):
-        f = DataFrame.from_rows(ctx, fact, name="fact", schema=["k", "v"])
-        d = DataFrame.from_rows(ctx, dim, name="dim", schema=["k", "w"])
-        return f.join(d, on="k", how=how)
-    a, b = collect_both_backends(build, pool, aqe_options(adaptive))
-    assert list(map(repr, a)) == list(map(repr, b))
 
 
 def test_adaptive_broadcast_pool_identical(pool):
