@@ -4,7 +4,7 @@ The package provides (bottom-up):
 
 * :mod:`repro.simcore`   — deterministic discrete-event simulation kernel
 * :mod:`repro.net`       — datacenter topologies + max-min fair flow simulation
-* :mod:`repro.cluster`   — machines, racks, fluid resources, failure injection
+* :mod:`repro.cluster`   — machines, racks, fluid resources, node fail/recover
 * :mod:`repro.storage`   — HDFS-like DFS, Reed–Solomon EC, cache policies
 * :mod:`repro.dataflow`  — RDD-style lazy plans; local and simulated engines
 * :mod:`repro.scheduler` — FIFO/Fair/Capacity/SRPT/DRF cluster scheduling

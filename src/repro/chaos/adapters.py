@@ -4,8 +4,8 @@ Each adapter translates the relevant subset of one plan into its layer's
 native fault mechanism:
 
 * :class:`ClusterChaos`   — node crash/repair and straggler (slow-node)
-  injection on a :class:`~repro.cluster.cluster.Cluster` (the generalized
-  successor of the cluster-only ``FailureInjector`` renewal loops);
+  injection on a :class:`~repro.cluster.cluster.Cluster`, the one way a
+  run gets node churn (a renewal plan's ``node_fail`` events);
 * :class:`EngineChaos`    — task-attempt crashes (via ``SimEngine.fault_hook``),
   lost shuffle partitions (via ``SimEngine.drop_map_outputs``), and silent
   shuffle corruption (via ``SimEngine.corrupt_map_outputs``);

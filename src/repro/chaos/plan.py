@@ -3,10 +3,13 @@
 A :class:`FaultPlan` is an immutable, time-sorted script of
 :class:`FaultEvent` instances.  Plans are built either explicitly
 (:meth:`FaultPlan.scripted`) or from per-kind Poisson renewal processes
-(:meth:`FaultPlan.renewal`) — the same model the cluster-level
-:class:`~repro.cluster.failures.FailureInjector` uses, generalized so one
-plan can drive every layer of the stack (cluster nodes, the dataflow
-engine, streaming operators, the DFS, load-facing services).
+(:meth:`FaultPlan.renewal`) — the exponential MTBF/MTTR model, for every
+layer of the stack (cluster nodes, the dataflow engine, streaming
+operators, the DFS, load-facing services).  Node churn with mean time
+between failures ``mtbf`` per target and mean repair time ``mttr`` is
+``renewal(seed, horizon, {"node_fail": len(targets) / mtbf},
+targets=targets, mean_duration=mttr)`` fed to
+:class:`~repro.chaos.adapters.ClusterChaos`.
 
 Determinism contract: a plan is a pure function of its constructor
 arguments (seed included), and adapters that need additional randomness at

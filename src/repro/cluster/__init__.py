@@ -1,11 +1,9 @@
-"""Cluster substrate: machines, racks, fluid resources, failure injection."""
+"""Cluster substrate: machines, racks, fluid resources."""
 
 from .cluster import Cluster, make_cluster
-from .failures import FailureInjector
 from .fluid import FluidResource
 from .node import Node, NodeSpec
 
 __all__ = [
-    "Cluster", "make_cluster", "FailureInjector", "FluidResource",
-    "Node", "NodeSpec",
+    "Cluster", "make_cluster", "FluidResource", "Node", "NodeSpec",
 ]

@@ -45,7 +45,11 @@ class ExecOptions:
     ``fusion``: compile narrow chains into one generator
     (:mod:`~repro.dataflow.fusion`).  ``columnar``: lower DataFrame
     queries through the vectorized engine (:mod:`repro.sql.columnar`).
-    ``checksums``: seal shuffle map outputs and CRC spill files.
+    ``checksums``: seal shuffle map outputs and CRC spill files; every
+    fetch then unpickles fresh records.  Off, the local executor and
+    ``SimEngine`` pass reducers the stored combiner objects, so a
+    ``merge_combiners`` that mutates its first argument in place
+    rewrites the stored shuffle and a re-run sees it.
     ``adaptive``: re-plan DataFrame queries with measured statistics
     under this :class:`~repro.sql.adaptive.AdaptiveConfig`; ``None`` is
     AQE off.  Hashable, so the pool keys worker priming on it.

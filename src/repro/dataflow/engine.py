@@ -42,7 +42,8 @@ from ..simcore.resources import Store
 from ..storage import integrity
 from .costmodel import CostModel, SizeEstimator
 from .plan import Dataset, ShuffleDependency, TaskRuntime
-from .shuffleio import count_sink_fallback, map_side_items, write_buckets
+from .shuffleio import (count_sink_fallback, map_side_items, open_bucket,
+                        seal_buckets, write_buckets)
 from .stages import (
     Stage,
     build_stages,
@@ -197,20 +198,18 @@ class _SimRuntime(TaskRuntime):
         out: List = []
         for m in range(n_maps):
             mo = outputs[m]
-            recs = mo.buckets[reduce_id]
-            if mo.seals is not None:
-                try:
-                    recs = integrity.verify_object(
-                        recs, mo.seals[reduce_id], layer="shuffle.mem",
-                        path=f"s{shuffle_id}m{m}r{reduce_id}")
-                except ChecksumError:
-                    # detected: count this bucket, count the map output's
-                    # *other* corrupt buckets as discarded-unread, drop the
-                    # whole output, and let lineage recovery re-run map m
-                    eng._record_integrity_detection(shuffle_id, m, reduce_id)
-                    eng._audit_discard(mo, skip=reduce_id)
-                    del outputs[m]
-                    raise MissingShuffleError(shuffle_id, [m])
+            try:
+                recs = open_bucket(mo.buckets, mo.seals, reduce_id,
+                                   layer="shuffle.mem",
+                                   path=f"s{shuffle_id}m{m}r{reduce_id}")
+            except ChecksumError:
+                # detected: count this bucket, count the map output's
+                # *other* corrupt buckets as discarded-unread, drop the
+                # whole output, and let lineage recovery re-run map m
+                eng._record_integrity_detection(shuffle_id, m, reduce_id)
+                eng._audit_discard(mo, skip=reduce_id)
+                del outputs[m]
+                raise MissingShuffleError(shuffle_id, [m])
             out.extend(recs)
             self.records_in += len(recs)
             self.fetches.append((mo.node, mo.bucket_bytes[reduce_id]))
@@ -1067,11 +1066,8 @@ class SimEngine:
             if attempt.alive:
                 # sealed buckets are verified at reduce fetch; a corrupt
                 # one drops the map output and rides lineage recovery
-                seals = None
-                if stage.dataset.ctx.options.checksums:
-                    sealed = [integrity.seal_object(b) for b in buckets]
-                    buckets = [blob for blob, _ in sealed]
-                    seals = [s for _, s in sealed]
+                buckets, seals = seal_buckets(
+                    buckets, stage.dataset.ctx.options.checksums)
                 self._register_map_output(
                     dep.shuffle_id, split,
                     _MapOutput(attempt.node, buckets, bucket_bytes, seals))

@@ -21,6 +21,13 @@ from .plan import (
     ShuffleDependency,
     TaskRuntime,
 )
+from .shuffleio import (
+    count_sink_fallback,
+    map_side_items,
+    open_bucket,
+    seal_buckets,
+    write_buckets,
+)
 
 __all__ = ["ExecutorBase", "LocalExecutor", "ShuffleMetrics"]
 
@@ -45,7 +52,9 @@ class _LocalRuntime(TaskRuntime):
         self._ex = executor
 
     def fetch_shuffle(self, shuffle_id: int, reduce_id: int):
-        return self._ex._shuffle_store[shuffle_id][reduce_id]
+        stored, seals = self._ex._shuffle_store[shuffle_id]
+        return open_bucket(stored, seals, reduce_id, layer="shuffle.local",
+                           path=f"s{shuffle_id}r{reduce_id}")
 
     def cache_get(self, dataset: Dataset, split: int):
         by_split = self._ex._cache.get(dataset.dataset_id)
@@ -108,7 +117,8 @@ class LocalExecutor(ExecutorBase):
 
     def __init__(self, ctx) -> None:
         self.ctx = ctx
-        self._shuffle_store: Dict[int, List[List]] = {}
+        # shuffle id -> seal_buckets(...) of its reduce buckets
+        self._shuffle_store: Dict[int, Tuple[List, Optional[List]]] = {}
         # two-level index (dataset_id -> split -> records) so uncaching a
         # dataset is O(its partitions), not a scan of every cached entry
         self._cache: Dict[int, Dict[int, List]] = {}
@@ -178,10 +188,6 @@ class LocalExecutor(ExecutorBase):
                 self._write_shuffle(dep)
 
     def _write_shuffle(self, dep: ShuffleDependency) -> None:
-        from .shuffleio import (
-            count_sink_fallback, map_side_items, write_buckets,
-        )
-
         n_out = dep.partitioner.n_partitions
         buckets: List[List] = [[] for _ in range(n_out)]
         metrics = ShuffleMetrics(dep.shuffle_id)
@@ -198,7 +204,8 @@ class LocalExecutor(ExecutorBase):
             metrics.bytes_written += sum(bucket_bytes)
             for rid in range(n_out):
                 buckets[rid].extend(split_buckets[rid])
-        self._shuffle_store[dep.shuffle_id] = buckets
+        self._shuffle_store[dep.shuffle_id] = seal_buckets(
+            buckets, dep.parent.ctx.options.checksums)
         self.shuffle_metrics[dep.shuffle_id] = metrics
 
     # -- maintenance --------------------------------------------------------

@@ -53,7 +53,8 @@ from .costmodel import CostModel, SizeEstimator
 from .plan import MappedDataset, ShuffleDependency, TaskRuntime
 
 __all__ = ["map_side_items", "count_sink_fallback", "SINK_FALLBACKS",
-           "write_buckets", "write_bucket_file", "read_bucket_file"]
+           "write_buckets", "seal_buckets", "open_bucket",
+           "write_bucket_file", "read_bucket_file"]
 
 #: Why a map task of a map-side-combining shuffle could not fold its
 #: records into a combine sink: the map dataset is not a
@@ -176,6 +177,35 @@ def write_buckets(dep: ShuffleDependency, items: Sequence,
     bucket_bytes = _bucket_bytes(buckets, items, dep.shuffle_id, cost,
                                  size_estimator)
     return buckets, len(items), bucket_bytes
+
+
+# -- stored buckets (in-process executors) -----------------------------------
+#
+# ``LocalExecutor`` and ``SimEngine`` keep map output in memory.  Sealed,
+# every fetch hands the reducer fresh records, so a ``merge_combiners``
+# that extends its first argument in place cannot rewrite the shuffle.
+
+
+def seal_buckets(buckets: List[List], checksums: bool,
+                 ) -> Tuple[List, Optional[List[integrity.Seal]]]:
+    """Stored form of one map output's buckets: ``(blobs, seals)`` of
+    :func:`~repro.storage.integrity.seal_object` when ``checksums`` is
+    set (the spill-file bytes), else ``(buckets, None)``."""
+    if not checksums:
+        return buckets, None
+    sealed = [integrity.seal_object(b) for b in buckets]
+    return [blob for blob, _ in sealed], [s for _, s in sealed]
+
+
+def open_bucket(stored: List, seals: Optional[List[integrity.Seal]],
+                reduce_id: int, *, layer: str, path: str) -> List:
+    """Records of one bucket stored by :func:`seal_buckets`: verified and
+    freshly unpickled when sealed (a corrupt blob raises
+    :class:`~repro.common.errors.ChecksumError`), else the stored list."""
+    if seals is None:
+        return stored[reduce_id]
+    return integrity.verify_object(stored[reduce_id], seals[reduce_id],
+                                   layer=layer, path=path)
 
 
 # -- shuffle bucket files (multi-process backend) ----------------------------

@@ -128,6 +128,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.batch_interval <= 0 or self.parallelism < 1:
             raise StreamingError("bad batch_interval or parallelism")
+        if self.per_record_cost <= 0 or self.scheduling_overhead < 0:
+            raise StreamingError(
+                "need per_record_cost > 0 and scheduling_overhead >= 0")
         if self.window.kind == "session":
             raise StreamingError(
                 "the watermark operator needs tumbling or sliding windows")
@@ -174,8 +177,7 @@ class PipelineResult:
                 + r.value("pipe.records_shed"))
 
 
-def run_event_pipeline(events, config: PipelineConfig,
-                       sim: Optional[Simulator] = None) -> PipelineResult:
+def run_event_pipeline(events, config: PipelineConfig) -> PipelineResult:
     """Run arrivals through source → batcher → window operator → sink.
 
     ``events`` is ``(arrival, ts, keys, values)`` — numpy columns sorted
@@ -189,9 +191,7 @@ def run_event_pipeline(events, config: PipelineConfig,
     n_total = len(arrival)
     if not (n_total == len(ts) == len(keys) == len(values)):
         raise StreamingError("event columns must have equal length")
-    own_sim = sim is None
-    if own_sim:
-        sim = Simulator()
+    sim = Simulator()
     reg = MetricsRegistry()
     records_in = reg.counter("pipe.records_in")
     records_out = reg.counter("pipe.records_out")
@@ -229,7 +229,6 @@ def run_event_pipeline(events, config: PipelineConfig,
     pipe_lat = Summary()
     emissions: List[WindowResult] = []
     buffer: Store = Store(sim)          # admitted chunks awaiting entry
-    duration = float(arrival[-1]) if n_total else 0.0
 
     def source(sim: Simulator):
         # tick, admit newly arrived records, chunk them into the buffer;
@@ -356,5 +355,5 @@ def run_event_pipeline(events, config: PipelineConfig,
         window_late=dict(aggregator.window_late),
         max_source_backlog=int(max_backlog.value),
         throttled_seconds=float(throttled),
-        duration=sim.now if own_sim else max(duration, sim.now),
+        duration=sim.now,
         registry=reg)

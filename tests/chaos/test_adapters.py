@@ -135,21 +135,6 @@ class TestClusterChaos:
         sim.run(until=10.0)
         assert node.speed_factor == pytest.approx(1.0)
 
-    def test_failure_injector_apply_plan_bridge(self):
-        from repro.cluster.failures import FailureInjector
-        sim, cl = self._cluster()
-        inj = FailureInjector(cl, mtbf=1e9, mttr=1.0, seed=0)
-        plan = FaultPlan.scripted([
-            FaultEvent(2.0, "node_fail", "h0_0", duration=3.0),
-            FaultEvent(4.0, "slow_node", "h0_1"),     # not the bridge's job
-        ])
-        assert inj.apply_plan(plan) == 1
-        sim.run(until=3.0)
-        assert not cl.nodes["h0_0"].alive
-        sim.run(until=10.0)
-        assert cl.nodes["h0_0"].alive
-        assert inj.events == [(2.0, "h0_0", "fail"), (5.0, "h0_0", "recover")]
-
     def test_unnamed_target_resolved_deterministically(self):
         picks = []
         for _ in range(2):

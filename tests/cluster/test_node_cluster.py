@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, FailureInjector, Node, NodeSpec, make_cluster
+from repro.cluster import Cluster, Node, NodeSpec, make_cluster
 from repro.common.errors import ConfigError
 from repro.simcore import Simulator
 
@@ -122,59 +122,3 @@ class TestMakeCluster:
         ev = cl.transfer("h0_0", "h1_1", 1000.0)
         stats = sim.run_until_done(ev)
         assert stats.nbytes == 1000
-
-
-class TestFailureInjector:
-    def test_deterministic(self):
-        def run(seed):
-            sim = Simulator()
-            cl = make_cluster(sim, 1, 4)
-            fi = FailureInjector(cl, mtbf=50, mttr=5, seed=seed)
-            fi.start()
-            sim.run(until=300)
-            return fi.events
-        assert run(9) == run(9)
-        assert run(9) != run(10)
-
-    def test_fail_then_recover_alternates(self):
-        sim = Simulator()
-        cl = make_cluster(sim, 1, 1)
-        fi = FailureInjector(cl, mtbf=10, mttr=1, seed=0)
-        fi.start()
-        sim.run(until=200)
-        kinds = [k for _, n, k in fi.events]
-        for i in range(0, len(kinds) - 1, 2):
-            assert kinds[i] == "fail" and kinds[i + 1] == "recover"
-
-    def test_scripted_failure(self):
-        sim = Simulator()
-        cl = make_cluster(sim, 1, 2)
-        fi = FailureInjector(cl, mtbf=1e9, mttr=0, seed=0)
-        fi.schedule_failure("h0_0", at=10.0, repair_after=5.0)
-        sim.run(until=30)
-        assert fi.events == [(10.0, "h0_0", "fail"), (15.0, "h0_0", "recover")]
-        assert cl.nodes["h0_0"].alive
-
-    def test_scripted_past_rejected(self):
-        sim = Simulator()
-        cl = make_cluster(sim, 1, 1)
-        fi = FailureInjector(cl, mtbf=1, mttr=1, seed=0)
-        sim.process((lambda s: (yield s.timeout(5)))(sim))
-        sim.run()
-        with pytest.raises(ValueError):
-            fi.schedule_failure("h0_0", at=1.0)
-
-    def test_invalid_params(self):
-        sim = Simulator()
-        cl = make_cluster(sim, 1, 1)
-        with pytest.raises(ValueError):
-            FailureInjector(cl, mtbf=0, mttr=1)
-
-    def test_targets_limit_scope(self):
-        sim = Simulator()
-        cl = make_cluster(sim, 1, 3)
-        fi = FailureInjector(cl, mtbf=5, mttr=1, targets=["h0_0"], seed=1)
-        fi.start()
-        sim.run(until=100)
-        assert all(n == "h0_0" for _, n, _ in fi.events)
-        assert fi.failure_count() > 0

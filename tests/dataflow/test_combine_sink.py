@@ -89,13 +89,22 @@ def sim_env(ctx, config=None, cost=None):
     return sim, SimEngine(cluster, config=config, cost_model=cost)
 
 
+def local_buckets(ex, sid):
+    """The local executor's stored reduce buckets of one shuffle, decoded
+    (sealed or not)."""
+    stored, seals = ex._shuffle_store[sid]
+    return [shuffleio.open_bucket(stored, seals, r, layer="test",
+                                  path=f"s{sid}r{r}")
+            for r in range(len(stored))]
+
+
 def observe_local(build, fused):
     """What the local executor produced: result, buckets and volumes."""
     ctx = make_ctx(fused)
     ds = build(ctx)
     result, ex, sid = ds.collect(), ctx.local_executor, ds.dep.shuffle_id
     m = ex.shuffle_metrics[sid]
-    return pickle.dumps((result, ex._shuffle_store[sid], m.records_in,
+    return pickle.dumps((result, local_buckets(ex, sid), m.records_in,
                          m.records_written, m.bytes_written))
 
 
@@ -143,6 +152,41 @@ def test_empty_partitions(observe):
     fused = observe(build, True)
     assert fused == observe(build, False)
     assert pickle.loads(fused)[0] == []
+
+
+def _extend(acc, more):
+    acc.extend(more)
+    return acc
+
+
+@pytest.mark.parametrize("executor", ["local", "pool", "sim", "sim+pool"])
+def test_in_place_merge_combiners_repeatable(pool, executor):
+    """A ``merge_combiners`` that extends its first argument in place
+    must not rewrite the stored shuffle: collecting the same dataset
+    twice gives the same answer and leaves the first answer untouched."""
+    ctx = make_ctx(True)
+    if executor in ("pool", "sim+pool"):
+        ctx.attach_pool(pool)
+        ctx.backend = "pool"
+    ds = (ctx.parallelize(range(20), 4).map(lambda x: (x % 2, x))
+          .combine_by_key(lambda v: [v], lambda a, v: a + [v], _extend, 2))
+    sim, eng = sim_env(ctx)
+
+    def collect():
+        if executor in ("local", "pool"):
+            return ds.collect()
+        return sim.run_until_done(eng.collect(ds)).value
+
+    try:
+        first = collect()
+        want = [(0, list(range(0, 20, 2))), (1, list(range(1, 20, 2)))]
+        assert sorted((k, sorted(v)) for k, v in first) == want
+        second = collect()
+        assert sorted((k, sorted(v)) for k, v in second) == want
+        assert sorted((k, sorted(v)) for k, v in first) == want
+    finally:
+        if executor in ("pool", "sim+pool"):
+            ctx.pooled_executor.clear()
 
 
 FALLBACK_PROGRAMS = {

@@ -177,3 +177,20 @@ class TestDeterminismAndWindows:
     def test_session_windows_rejected(self):
         with pytest.raises(StreamingError):
             PipelineConfig(window=WindowSpec.session(1.0))
+
+
+class TestConfigCosts:
+    """Bad costs fail when the config is built, not mid-run."""
+
+    def test_zero_per_record_cost_rejected(self):
+        # the ingress credit window is sized from parallelism / cost
+        with pytest.raises(StreamingError):
+            PipelineConfig(per_record_cost=0.0)
+
+    def test_negative_per_record_cost_rejected(self):
+        with pytest.raises(StreamingError):
+            PipelineConfig(per_record_cost=-2e-4)
+
+    def test_negative_scheduling_overhead_rejected(self):
+        with pytest.raises(StreamingError):
+            PipelineConfig(scheduling_overhead=-0.02)

@@ -17,6 +17,18 @@ class TestConfig:
         with pytest.raises(StreamingError):
             MicroBatchConfig(batch_interval=0)
 
+    def test_negative_per_record_cost_rejected(self):
+        with pytest.raises(StreamingError):
+            MicroBatchConfig(per_record_cost=-1e-4)
+
+    def test_negative_scheduling_overhead_rejected(self):
+        with pytest.raises(StreamingError):
+            MicroBatchConfig(scheduling_overhead=-0.05)
+
+    def test_free_records_allowed(self):
+        cfg = MicroBatchConfig(per_record_cost=0.0, scheduling_overhead=0.0)
+        assert cfg.batch_time(10_000) == 0.0
+
 
 class TestStableRegime:
     def test_latency_about_half_interval_plus_processing(self):
@@ -193,73 +205,3 @@ class TestAdmissionControl:
         r = run_microbatch(lambda t: 500, cfg, duration=20)
         assert r.shed_records == 0
         assert r.processed_records == 500 * 20
-
-
-class TestEventTimeWindowing:
-    """Satellite: the micro-batch engine carries real event columns and
-    runs watermark-driven windowed aggregation when config.window is set."""
-
-    def _windowed(self, **kw):
-        from repro.streaming import WindowSpec
-        base = dict(batch_interval=0.5, per_record_cost=2e-4, parallelism=2,
-                    window=WindowSpec.tumbling(1.0), watermark_delay=0.5,
-                    allowed_lateness=0.5, n_keys=8)
-        base.update(kw)
-        return MicroBatchConfig(**base)
-
-    def test_windows_fire_and_conserve(self):
-        r = run_microbatch(lambda t: 800.0, self._windowed(), duration=20)
-        assert r.windows_fired > 0
-        reg = r.registry
-        assert reg.value("stream.records_out") == (
-            reg.value("stream.records_windowed")
-            + reg.value("stream.records_late_dropped"))
-        assert r.late_dropped_records == \
-            reg.value("stream.records_late_dropped")
-
-    def test_default_events_are_in_order_no_drops(self):
-        # synthesized timestamps are in-interval and monotone, so with a
-        # watermark delay nothing can be late-dropped
-        r = run_microbatch(lambda t: 800.0, self._windowed(), duration=20)
-        assert r.late_dropped_records == 0
-
-    def test_custom_events_fn(self):
-        import numpy as np
-        from repro.streaming import EventBatch
-
-        def mostly_live_events(t0, n):
-            idx = np.arange(n, dtype=np.int64)
-            ts = t0 + (idx + 0.5) * (0.5 / n)
-            if 4.0 <= t0 and int(t0) % 4 == 0:
-                # stale burst: far behind the watermark -> late-dropped
-                ts = np.zeros(n)
-            return EventBatch(ts, np.zeros(n, dtype=np.int64),
-                              np.ones(n, dtype=np.int64))
-
-        r = run_microbatch(lambda t: 400.0, self._windowed(), duration=20,
-                           events_fn=mostly_live_events)
-        assert r.late_dropped_records > 0
-        reg = r.registry
-        assert reg.value("stream.records_out") == (
-            reg.value("stream.records_windowed")
-            + reg.value("stream.records_late_dropped"))
-
-    def test_no_window_means_no_event_path(self):
-        cfg = MicroBatchConfig(batch_interval=0.5, per_record_cost=2e-4,
-                               parallelism=2)
-        r = run_microbatch(lambda t: 800.0, cfg, duration=10)
-        assert r.windows_fired == 0
-        assert r.registry.value("stream.records_windowed") == 0
-
-    def test_session_window_rejected(self):
-        from repro.streaming import WindowSpec
-        with pytest.raises(StreamingError):
-            MicroBatchConfig(window=WindowSpec.session(1.0))
-
-    def test_deterministic(self):
-        a = run_microbatch(lambda t: 800.0, self._windowed(), duration=15)
-        b = run_microbatch(lambda t: 800.0, self._windowed(), duration=15)
-        assert (a.windows_fired, a.late_corrections,
-                a.late_dropped_records, a.processed_records) == \
-            (b.windows_fired, b.late_corrections,
-             b.late_dropped_records, b.processed_records)

@@ -9,7 +9,8 @@ import operator
 
 import pytest
 
-from repro.cluster import FailureInjector, make_cluster
+from repro.chaos import ClusterChaos, FaultPlan
+from repro.cluster import make_cluster
 from repro.common.units import MB
 from repro.dataflow import CostModel, DataflowContext, EngineConfig, SimEngine
 from repro.net import NetworkSim, fat_tree
@@ -24,9 +25,10 @@ def run_full_stack(seed: int):
     cl = make_cluster(sim, 2, 4)
     fs = DistributedFS(cl, DFSConfig(block_size=MB(2)), seed=seed)
     sim.run_until_done(fs.write("/f", size=MB(5), writer="h0_0"))
-    fi = FailureInjector(cl, mtbf=50.0, mttr=2.0,
-                         targets=["h1_0", "h1_1"], seed=seed)
-    fi.start()
+    plan = FaultPlan.renewal(seed, 60.0, {"node_fail": 2 / 50.0},
+                             targets=["h1_0", "h1_1"], mean_duration=2.0)
+    chaos = ClusterChaos(cl, plan)
+    chaos.start()
     ctx = DataflowContext()
     eng = SimEngine(cl, EngineConfig(speculation=True, check_interval=0.1),
                     cost_model=CostModel(cpu_per_record=1e-4))
@@ -35,7 +37,7 @@ def run_full_stack(seed: int):
           .map(lambda w: (w, 1)).reduce_by_key(operator.add, 8))
     res = sim.run_until_done(eng.collect(wc))
     return (sorted(res.value), res.metrics.duration, res.metrics.n_tasks,
-            cl.net.total_bytes, fi.events[:5], sim.now)
+            cl.net.total_bytes, chaos.trace.entries, sim.now)
 
 
 class TestDeterminism:
@@ -129,10 +131,13 @@ class TestConservation:
                                          check_interval=0.05),
                         cost_model=CostModel(cpu_per_record=2e-4))
         acc = ctx.accumulator(0)
-        fi = FailureInjector(cl, mtbf=2.0, mttr=0.5,
-                             targets=["h1_3"], seed=1)
-        fi.start()
+        # seed 4 fails h1_3 twice while its tasks run
+        plan = FaultPlan.renewal(4, 60.0, {"node_fail": 1 / 2.0},
+                                 targets=["h1_3"], mean_duration=0.5)
+        chaos = ClusterChaos(cl, plan)
+        chaos.start()
         ds = ctx.range(30_000, 16).map(lambda x: (acc.add(1), x)[1])
         res = sim.run_until_done(eng.collect(ds))
         assert sorted(res.value) == list(range(30_000))
         assert acc.value == 30_000
+        assert chaos.trace.count("node_fail") > 0

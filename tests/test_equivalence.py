@@ -32,7 +32,7 @@ from repro.sql import (AdaptiveConfig, DataFrame, avg_, col, count_, max_,
                        min_, sum_)
 from repro.sql.logical import Limit, OrderBy
 
-from .dataflow.test_combine_sink import AGGREGATORS
+from .dataflow.test_combine_sink import AGGREGATORS, local_buckets
 from .dataflow.test_fusion import random_chain
 from .sql.test_columnar import sales_rows
 from .sql.test_join_semantics import frame
@@ -255,9 +255,10 @@ def run_cell(program: Program, options: ExecOptions, executor: str,
             run.rows = ds.collect()
         if executor == "local":
             ex = ctx.local_executor
-            run.ledger = pickle.dumps((ex._shuffle_store, {
-                sid: (m.records_in, m.records_written, m.bytes_written)
-                for sid, m in ex.shuffle_metrics.items()}))
+            run.ledger = pickle.dumps((
+                {sid: local_buckets(ex, sid) for sid in ex._shuffle_store},
+                {sid: (m.records_in, m.records_written, m.bytes_written)
+                 for sid, m in ex.shuffle_metrics.items()}))
         if executor in SIM_EXECUTORS:
             sim = Simulator()
             cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)

@@ -5,7 +5,8 @@ import operator
 import numpy as np
 import pytest
 
-from repro.cluster import FailureInjector, make_cluster
+from repro.chaos import ClusterChaos, FaultPlan
+from repro.cluster import make_cluster
 from repro.common.units import MB, Gbit_per_s
 from repro.dataflow import (
     CostModel,
@@ -63,9 +64,12 @@ class TestChaosPipeline:
         eng = SimEngine(cl, cost_model=CostModel(cpu_per_record=1e-4))
         # keep one rack stable so progress is always possible
         churn_targets = [f"h1_{i}" for i in range(4)]
-        fi = FailureInjector(cl, mtbf=3.0, mttr=1.0, targets=churn_targets,
-                             seed=4)
-        fi.start()
+        # each target fails every 3 s on average and recovers after ~1 s
+        rate = len(churn_targets) / 3.0
+        plan = FaultPlan.renewal(4, 60.0, {"node_fail": rate},
+                                 targets=churn_targets, mean_duration=1.0)
+        chaos = ClusterChaos(cl, plan)
+        chaos.start()
         ds = (ctx.range(30_000, 16)
               .map(lambda x: (x % 500, x))
               .reduce_by_key(operator.add, 12)
@@ -73,7 +77,7 @@ class TestChaosPipeline:
               .reduce_by_key(operator.add, 8))
         res = sim.run_until_done(eng.collect(ds))
         assert sorted(res.value) == sorted(ds.collect())
-        assert fi.failure_count() > 0
+        assert chaos.trace.count("node_fail") > 0
 
 
 class TestGraphPipelineOnEngine:
