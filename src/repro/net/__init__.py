@@ -8,7 +8,7 @@ from .collectives import (
     tree_allreduce,
     tree_allreduce_model,
 )
-from .flows import FlowSpec, allocate_rates
+from .flows import FlowSpec, FlowTable, allocate_rates
 from .netsim import NetworkSim, TransferStats
 from .topology import (
     Link,
@@ -22,7 +22,8 @@ from .topology import (
 
 __all__ = [
     "Link", "Topology", "star", "leaf_spine", "fat_tree", "torus_2d",
-    "dumbbell", "FlowSpec", "allocate_rates", "NetworkSim", "TransferStats",
+    "dumbbell", "FlowSpec", "FlowTable", "allocate_rates", "NetworkSim",
+    "TransferStats",
     "CollectiveResult", "ring_allreduce", "tree_allreduce",
     "naive_allreduce", "ring_allreduce_model", "tree_allreduce_model",
 ]

@@ -9,7 +9,9 @@ large relative to RTT (shuffles, block writes, VM migrations), which is
 exactly what the experiments here measure.
 
 Links are interned to integer ids and each flow's ``FlowSpec`` is built
-once; flows starting at one instant share one solve (a *start wave*);
+once and kept in one :class:`~repro.net.flows.FlowTable` from its start
+wave to its completion; flows starting at one instant share one solve
+(a *start wave*);
 one ``net-waker`` :class:`~repro.simcore.kernel.Alarm` is moved, not
 respawned, when rates change.
 None of this changes a simulated float (``tests/net/test_netsim_pinned.py``).
@@ -25,7 +27,7 @@ from ..common.errors import NetworkError
 from ..common.units import Gbit_per_s
 from ..simcore.events import Event
 from ..simcore.kernel import Alarm, Simulator
-from .flows import FlowSpec, LinkKey, allocate_rates
+from .flows import FlowSpec, FlowTable, LinkKey, allocate_rates
 from .topology import Link, Topology
 
 __all__ = ["NetworkSim", "TransferStats"]
@@ -84,6 +86,8 @@ class NetworkSim:
         self.topo = topo
         self.local_copy_bw = local_copy_bw
         self._flows: Dict[int, _Flow] = {}
+        # the specs of ``_flows``, indexed for the rate solver
+        self._table = FlowTable()
         self._next_fid = 0
         self._last_t = sim.now
         self._rates: Dict[int, float] = {}
@@ -181,6 +185,7 @@ class NetworkSim:
         yield self.sim.timeout(latency)
         for flow in self._waves.pop(at):
             self._flows[flow.spec.flow_id] = flow
+            self._table.add(flow.spec)
             self.total_bytes += flow.nbytes
         self._reallocate()
 
@@ -202,13 +207,13 @@ class NetworkSim:
         done = [f for f in self._flows.values() if f.remaining <= _EPS_BYTES]
         for flow in done:
             del self._flows[flow.spec.flow_id]
+            self._table.remove(flow.spec.flow_id)
             flow.event.succeed(TransferStats(
                 flow.src, flow.dst, int(flow.nbytes), flow.start, self.sim.now))
         if not self._flows:
             self._rates = {}
             return
-        self._rates = allocate_rates(
-            [f.spec for f in self._flows.values()], self._caps)
+        self._rates = allocate_rates(self._table, self._caps)
         self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:

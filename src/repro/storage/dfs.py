@@ -251,12 +251,15 @@ class DistributedFS:
         nodes = self._choose_replica_nodes(writer, self.config.replication)
         # pipelined: the client streams to replica 1 which streams to 2, ...
         # modeled as concurrent hop transfers plus a disk write per replica.
+        # every replica holds the same bytes: seal them once
+        seal = (integrity.seal(data, self.config.chunk_size)
+                if data is not None else None)
         pending = []
         prev = writer
         for r, node in enumerate(nodes):
             block.locations[r] = node
             if data is not None:
-                self._store_piece(block.block_id, r, data)
+                self._store_piece(block.block_id, r, data, seal)
             pending.append(self.cluster.transfer(prev, node, block.size))
             pending.append(self.cluster.nodes[node].disk_write(block.size))
             prev = node
@@ -536,11 +539,15 @@ class DistributedFS:
         return (block.size if block.mode == "replicate"
                 else self.codec.fragment_size(block.size))
 
-    def _store_piece(self, block_id: int, slot: int, data: bytes) -> None:
-        """Store and seal one replica/fragment payload."""
+    def _store_piece(self, block_id: int, slot: int, data: bytes,
+                     seal: Optional[integrity.Seal] = None) -> None:
+        """Store one replica/fragment payload with its seal, sealing it
+        here unless the caller passes the (immutable) seal of the same
+        bytes."""
         self._content[(block_id, slot)] = data
-        self._seals[(block_id, slot)] = integrity.seal(
-            data, self.config.chunk_size)
+        self._seals[(block_id, slot)] = (
+            seal if seal is not None
+            else integrity.seal(data, self.config.chunk_size))
 
     def _copy_piece(self, block_id: int, src_slot: int, dst_slot: int) -> None:
         """Clone a verified piece (bytes + seal) into another slot."""

@@ -7,7 +7,7 @@ from repro.cluster import make_cluster
 from repro.common.errors import InsufficientReplicasError
 from repro.common.units import MB
 from repro.simcore import Simulator
-from repro.storage import DFSConfig, DistributedFS
+from repro.storage import DFSConfig, DistributedFS, integrity
 
 
 def setup(n_racks=3, nodes_per_rack=3, **cfg):
@@ -64,6 +64,32 @@ class TestReplicatedDetection:
         assert fs.audit_integrity() == []
         got, _ = sim.run_until_done(fs.read("/f", reader="h2_0"))
         assert got == data
+
+    def test_replicas_share_one_seal_and_rot_alone(self, monkeypatch):
+        sealed = []
+        real_seal = integrity.seal
+        monkeypatch.setattr(integrity, "seal",
+                            lambda data, *a: sealed.append(len(data))
+                            or real_seal(data, *a))
+        sim, cl, fs = setup(auto_repair=False)
+        data = payload()
+        write(sim, fs, "/f", data)
+        block = fs.blocks_of("/f")[0]
+        slots = sorted(block.locations)
+        assert len(slots) == fs.config.replication == 3
+        # one seal over the block's bytes, stored in every slot
+        assert sealed == [len(data)]
+        assert len({id(fs._seals[block.block_id, s]) for s in slots}) == 1
+        # rotting one replica fails that slot's verify and no other
+        fs.corrupt_piece(block.block_id, 1)
+        assert [fs._piece_clean(block.block_id, s) for s in slots] \
+            == [True, False, True]
+        # read next to the rotten copy: served from a clean replica
+        got, _ = sim.run_until_done(
+            fs.read("/f", reader=block.locations[1]))
+        assert got == data
+        assert fs.integrity_detected == 1
+        assert sorted(block.locations) == [0, 2]
 
 
 class TestECDetection:

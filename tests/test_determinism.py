@@ -25,8 +25,9 @@ def run_full_stack(seed: int):
     cl = make_cluster(sim, 2, 4)
     fs = DistributedFS(cl, DFSConfig(block_size=MB(2)), seed=seed)
     sim.run_until_done(fs.write("/f", size=MB(5), writer="h0_0"))
-    plan = FaultPlan.renewal(seed, 60.0, {"node_fail": 2 / 50.0},
-                             targets=["h1_0", "h1_1"], mean_duration=2.0)
+    # node failures dense enough to fire inside the sub-second job
+    plan = FaultPlan.renewal(seed, 1.0, {"node_fail": 40.0},
+                             targets=["h1_0", "h1_1"], mean_duration=0.05)
     chaos = ClusterChaos(cl, plan)
     chaos.start()
     ctx = DataflowContext()
@@ -37,12 +38,18 @@ def run_full_stack(seed: int):
           .map(lambda w: (w, 1)).reduce_by_key(operator.add, 8))
     res = sim.run_until_done(eng.collect(wc))
     return (sorted(res.value), res.metrics.duration, res.metrics.n_tasks,
-            cl.net.total_bytes, chaos.trace.entries, sim.now)
+            cl.net.total_bytes, chaos.trace.entries,
+            res.metrics.n_failed_attempts, sim.now)
 
 
 class TestDeterminism:
     def test_full_stack_replay_identical(self):
-        assert run_full_stack(7) == run_full_stack(7)
+        run = run_full_stack(7)
+        assert run == run_full_stack(7)
+        # the replay must cover failures: churn fired and killed attempts
+        _, _, _, _, entries, n_failed, _ = run
+        assert entries
+        assert n_failed > 0
 
     def test_different_seed_differs(self):
         a = run_full_stack(7)
