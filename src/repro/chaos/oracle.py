@@ -14,7 +14,8 @@ fault plan** (twice), and asserts three families of properties:
    :mod:`repro.chaos.plan`.
 3. **Conservation** — layer-specific invariants: no record lost or
    double-counted, backlog/queue bookkeeping conserved, event-queue heap
-   and index consistency (:meth:`IndexedHeap.check_invariants`) sampled
+   order and tombstone consistency
+   (:meth:`~repro.simcore.kernel.EventQueue.check_invariants`) sampled
    while faults are in flight.
 
 Use :func:`run_all` / :func:`sweep` to run every layer over one or many

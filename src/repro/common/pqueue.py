@@ -1,9 +1,9 @@
 """An indexed binary min-heap supporting decrease-key and removal.
 
-The DES kernel and several schedulers need a priority queue where an
-entry's priority can change (task reprioritization, event cancellation)
-without tombstone buildup.  This implementation keeps a position index so
-``update`` / ``remove`` are O(log n) and membership checks are O(1).
+The storage caches need a priority queue where an entry's priority can
+change (a key's frequency or next use) without tombstone buildup.  This
+implementation keeps a position index so ``update`` / ``remove`` are
+O(log n) and membership checks are O(1).
 """
 
 from __future__ import annotations

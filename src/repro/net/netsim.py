@@ -13,7 +13,9 @@ once and kept in one :class:`~repro.net.flows.FlowTable` from its start
 wave to its completion; flows starting at one instant share one solve
 (a *start wave*);
 one ``net-waker`` :class:`~repro.simcore.kernel.Alarm` is moved, not
-respawned, when rates change.
+respawned, when rates change; a progress advance only decrements each
+flow's remaining bytes, and per-link bytes are charged once, when a flow
+finishes.
 None of this changes a simulated float (``tests/net/test_netsim_pinned.py``).
 """
 
@@ -94,7 +96,8 @@ class NetworkSim:
         # interned links: key -> id (ids count up from 0), id -> capacity
         self._link_ids: Dict[LinkKey, int] = {}
         self._caps: Dict[int, float] = {}
-        # cumulative bytes per link id, in the order links first carried any
+        # bytes of finished flows per link id, in the order links first
+        # saw a flow finish
         self._carried: Dict[int, float] = {}
         # start time -> flows of the start wave landing then
         self._waves: Dict[float, List[_Flow]] = {}
@@ -159,9 +162,28 @@ class NetworkSim:
 
     @property
     def link_bytes(self) -> Dict[LinkKey, float]:
-        """Cumulative bytes carried per link key (``Link.key``)."""
+        """Cumulative bytes carried per link key (``Link.key``).
+
+        Finished flows count their whole size.  Read mid-run, each
+        in-flight flow adds the bytes it has sent by now, worked out
+        without advancing the flows (splitting an advance would change
+        its rounding); each link's reading is one exactly rounded sum,
+        so successive readings never decrease.
+        """
+        carried = dict(self._carried)
+        if self._flows:
+            dt = self.sim.now - self._last_t
+            rates = self._rates
+            sent: Dict[int, List[float]] = {}
+            for fid, flow in self._flows.items():
+                left = flow.remaining - rates.get(fid, 0.0) * dt
+                part = flow.nbytes - max(left, 0.0)
+                for lid in flow.spec.links:
+                    sent.setdefault(lid, []).append(part)
+            for lid, parts in sent.items():
+                carried[lid] = math.fsum([carried.get(lid, 0.0), *parts])
         keys = list(self._link_ids)
-        return {keys[lid]: carried for lid, carried in self._carried.items()}
+        return {keys[lid]: nbytes for lid, nbytes in carried.items()}
 
     def current_rate(self, fid: int) -> Optional[float]:
         """Instantaneous rate of flow ``fid`` (testing/inspection hook)."""
@@ -189,25 +211,31 @@ class NetworkSim:
             self.total_bytes += flow.nbytes
         self._reallocate()
 
-    def _advance_progress(self) -> None:
+    def _advance_progress(self) -> List[_Flow]:
+        """Move every flow's progress up to now; returns the finished flows."""
         now = self.sim.now
         dt = now - self._last_t
-        if dt > 0:
-            rates, carried = self._rates, self._carried
-            for fid, flow in self._flows.items():
-                moved = rates.get(fid, 0.0) * dt
-                flow.remaining -= moved
-                for lid in flow.spec.links:
-                    carried[lid] = carried.get(lid, 0.0) + moved
         self._last_t = now
+        if dt <= 0:
+            return [f for f in self._flows.values() if f.remaining <= _EPS_BYTES]
+        rates, done = self._rates, []
+        for fid, flow in self._flows.items():
+            flow.remaining -= rates.get(fid, 0.0) * dt
+            if flow.remaining <= _EPS_BYTES:
+                done.append(flow)
+        return done
 
     def _reallocate(self) -> None:
-        """Advance progress, complete finished flows, recompute rates."""
-        self._advance_progress()
-        done = [f for f in self._flows.values() if f.remaining <= _EPS_BYTES]
-        for flow in done:
+        """Advance progress, complete finished flows, recompute rates.
+
+        A finished flow charges its ``nbytes`` once to each link on its
+        path, so with integer sizes the ledger is exact."""
+        carried = self._carried
+        for flow in self._advance_progress():
             del self._flows[flow.spec.flow_id]
             self._table.remove(flow.spec.flow_id)
+            for lid in flow.spec.links:
+                carried[lid] = carried.get(lid, 0.0) + flow.nbytes
             flow.event.succeed(TransferStats(
                 flow.src, flow.dst, int(flow.nbytes), flow.start, self.sim.now))
         if not self._flows:
@@ -218,10 +246,13 @@ class NetworkSim:
 
     def _schedule_next_completion(self) -> None:
         next_dt = math.inf
+        rates = self._rates
         for fid, flow in self._flows.items():
-            rate = self._rates[fid]
+            rate = rates[fid]
             if rate > 0:
-                next_dt = min(next_dt, flow.remaining / rate)
+                dt = flow.remaining / rate
+                if dt < next_dt:
+                    next_dt = dt
         if math.isinf(next_dt):
             raise NetworkError("active flows exist but none can make progress")
         self._alarm.set(next_dt)

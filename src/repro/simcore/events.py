@@ -50,6 +50,9 @@ class Event:
     :meth:`fail`.  Callbacks receive the event itself.
     """
 
+    #: ``seq`` of the event's live entry in the kernel's event queue
+    _queue_seq: Optional[int] = None
+
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []

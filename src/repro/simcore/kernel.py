@@ -3,8 +3,8 @@
 :class:`Simulator` owns the clock and the event queue; :class:`Process`
 wraps a generator coroutine that yields :class:`~repro.simcore.events.Event`
 instances to wait on them.  The design follows the classic process-based
-DES structure (SimPy-style), implemented from scratch on the indexed heap
-from :mod:`repro.common.pqueue` with deterministic tie-breaking:
+DES structure (SimPy-style), implemented from scratch on an
+:class:`EventQueue` (a :mod:`heapq` list) with deterministic tie-breaking:
 
     events fire in (time, priority, sequence-number) order
 
@@ -14,13 +14,15 @@ so two runs with the same seeds replay identically.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from heapq import heappop, heappush
+from typing import (
+    Any, Callable, Generator, Iterable, List, Optional, Set, Tuple,
+)
 
 from ..common.errors import SimulationError
-from ..common.pqueue import IndexedHeap
 from .events import AllOf, AnyOf, Event, Interrupt, PENDING, Timeout
 
-__all__ = ["Simulator", "Process", "Alarm", "NORMAL", "URGENT"]
+__all__ = ["Simulator", "Process", "Alarm", "EventQueue", "NORMAL", "URGENT"]
 
 #: Priority for ordinary events.
 NORMAL = 1
@@ -29,6 +31,75 @@ NORMAL = 1
 URGENT = 0
 
 ProcessGen = Generator[Event, Any, Any]
+
+
+class EventQueue:
+    """The kernel's event queue: ``(t, priority, seq, event)`` entries on a
+    :mod:`heapq` list, popped in exactly (time, priority, seq) order.
+
+    ``seq`` is unique, so entries never compare their events.  Moving an
+    event pushes a new entry and *tombstones* the old one: its ``seq`` goes
+    into :attr:`dead` until the entry reaches the head and is dropped, so
+    ``len()`` (live entries) is ``len(heap) - len(dead)``.  Each queued
+    event records the ``seq`` of its live entry in ``_queue_seq``.
+    """
+
+    __slots__ = ("heap", "dead", "_seq")
+
+    def __init__(self) -> None:
+        self.heap: List[Tuple[float, int, int, Event]] = []
+        self.dead: Set[int] = set()
+        self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self.heap) - len(self.dead)
+
+    def push(self, event: Event, t: float, priority: int) -> None:
+        """Queue ``event`` at ``(t, priority)`` after every earlier push."""
+        self._seq += 1
+        heappush(self.heap, (t, priority, self._seq, event))
+        event._queue_seq = self._seq
+
+    def move(self, event: Event, t: float, priority: int) -> None:
+        """Requeue the queued ``event`` at ``(t, priority)``, earlier or
+        later, ordered as if pushed now."""
+        self.dead.add(event._queue_seq)
+        self.push(event, t, priority)
+
+    def peek(self) -> float:
+        """Time of the next live entry, or ``inf`` when there is none."""
+        heap, dead = self.heap, self.dead
+        while dead and heap[0][2] in dead:
+            dead.remove(heappop(heap)[2])
+        return heap[0][0] if heap else math.inf
+
+    def pop(self) -> Tuple[float, Event]:
+        """Remove the next live entry; returns its ``(t, event)``.
+        Raises ``IndexError`` when there is none."""
+        heap, dead = self.heap, self.dead
+        while True:
+            t, _, seq, event = heappop(heap)
+            if seq not in dead:
+                return t, event
+            dead.remove(seq)
+
+    def check_invariants(self) -> None:
+        """Assert heap order on ``(t, priority, seq)``, that every
+        tombstone names an entry still in the heap, and that the live
+        entries are exactly the queued events' current entries."""
+        heap, dead = self.heap, self.dead
+        for i in range(1, len(heap)):
+            assert heap[(i - 1) >> 1][:3] <= heap[i][:3], f"heap order at {i}"
+        seqs = {entry[2] for entry in heap}
+        assert len(seqs) == len(heap), "duplicate seq"
+        assert dead <= seqs, f"dangling tombstones {sorted(dead - seqs)}"
+        queued = set()
+        for _, _, seq, event in heap:
+            live = seq not in dead
+            assert live == (event._queue_seq == seq), f"entry {seq}"
+            if live:
+                queued.add(id(event))
+        assert len(self) == len(queued), "live count"
 
 
 class Process(Event):
@@ -144,8 +215,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.now = float(start_time)
-        self._queue = IndexedHeap()
-        self._seq = 0
+        self._queue = EventQueue()
         self._active_proc: Optional[Process] = None
         #: total events processed by :meth:`step` (perf-suite telemetry)
         self.events_processed = 0
@@ -201,30 +271,32 @@ class Simulator:
                   priority: int = NORMAL) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        self._queue.push(event, (self.now + delay, priority, self._seq))
+        self._queue.push(event, self.now + delay, priority)
 
     def reschedule(self, event: Event, delay: float) -> None:
         """Move a queued event to fire ``delay`` seconds from now, ordered
         as if scheduled just now (re-arms a timer instead of leaving a
-        superseded one to fire for nothing)."""
+        superseded one to fire for nothing).
+
+        Raises :class:`SimulationError` for an event that is not queued:
+        never scheduled, or already processed.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        self._queue.update(event, (self.now + delay, NORMAL, self._seq))
+        if event._queue_seq is None or event.callbacks is None:
+            raise SimulationError(f"cannot reschedule {event!r}: not queued")
+        self._queue.move(event, self.now + delay, NORMAL)
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""
-        if not self._queue:
-            return float("inf")
-        _, (t, _, _) = self._queue.peek()
-        return t
+        return self._queue.peek()
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._queue:
-            raise SimulationError("step() on empty event queue")
-        event, (t, _, _) = self._queue.pop()
+        try:
+            t, event = self._queue.pop()
+        except IndexError:
+            raise SimulationError("step() on empty event queue") from None
         self.now = t
         self.events_processed += 1
         obs = self._observer
