@@ -32,25 +32,7 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import (
-    bench,
-    chaos,
-    cloud,
-    cluster,
-    common,
-    dataflow,
-    graph,
-    ml,
-    net,
-    resilience,
-    scheduler,
-    serve,
-    simcore,
-    sql,
-    storage,
-    streaming,
-    workloads,
-)
+import importlib
 
 __all__ = [
     "common", "simcore", "net", "cluster", "storage", "dataflow",
@@ -58,3 +40,11 @@ __all__ = [
     "sql", "chaos", "resilience", "serve",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first use (PEP 562), so that importing one
+    layer does not pull in every other."""
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,8 @@ idealization of per-flow fair queueing / long-lived TCP).
 
 :class:`FlowTable` holds the live flows indexed for the solver, so a
 caller that adds and removes flows over time (``NetworkSim``) keeps one
-table instead of rebuilding the index on every solve.
+table instead of rebuilding the index on every solve.  A solve's work
+is per link and per filling round, not per flow.
 """
 
 from __future__ import annotations
@@ -46,15 +47,16 @@ class FlowTable:
     """The live flows of a network, indexed for :func:`allocate_rates`.
 
     For each link it holds the set of flow ids on it, it groups flow ids
-    by weight, and it keeps each finite ``limit``.  Each link's member
-    weight total is cached and re-summed (``math.fsum``, exactly rounded,
-    so independent of set order) only after the link gains or loses a
-    flow.  Iterating a table yields its specs in the order they were
-    added; ``len()`` counts them.
+    by weight, and it keeps each finite ``limit``.  A link's member
+    weight total is ``len(members) * w`` while every flow has the one
+    weight ``w``, else ``math.fsum`` of the weights.  Both are exactly
+    rounded, so a total does not depend on set order or on how the table
+    got there.  Iterating a table yields its specs in the order they
+    were added; ``len()`` counts them.
     """
 
     __slots__ = ("_specs", "_local", "_on_link", "_by_weight", "_weight",
-                 "_limits", "_totals", "_dirty")
+                 "_limits")
 
     def __init__(self, flows: Iterable[FlowSpec] = ()) -> None:
         self._specs: Dict[Hashable, FlowSpec] = {}
@@ -64,8 +66,6 @@ class FlowTable:
         self._by_weight: Dict[float, Set[Hashable]] = {}
         self._weight: Dict[Hashable, float] = {}
         self._limits: Dict[Hashable, float] = {}
-        self._totals: Dict[LinkKey, float] = {}
-        self._dirty: Set[LinkKey] = set()
         for spec in flows:
             self.add(spec)
 
@@ -92,7 +92,6 @@ class FlowTable:
             self._limits[fid] = spec.limit
         for lk in spec.links:
             self._on_link.setdefault(lk, set()).add(fid)
-        self._dirty.update(spec.links)
 
     def remove(self, flow_id: Hashable) -> None:
         """Remove the flow ``flow_id``."""
@@ -111,21 +110,14 @@ class FlowTable:
             members.discard(flow_id)
             if not members:
                 del self._on_link[lk]
-        self._dirty.update(spec.links)
 
-    def _link_totals(self) -> Dict[LinkKey, float]:
-        """Member weight total of every link that carries a flow."""
-        if self._dirty:
-            totals, on_link = self._totals, self._on_link
-            weight_of = self._weight.__getitem__
-            for lk in self._dirty:
-                members = on_link.get(lk)
-                if members:
-                    totals[lk] = math.fsum(map(weight_of, members))
-                else:
-                    totals.pop(lk, None)
-            self._dirty.clear()
-        return self._totals
+    def _weight_total(self, members: Set[Hashable]) -> float:
+        """Exactly rounded weight total of ``members``: a count times the
+        one weight all flows share (a correctly rounded product, equal to
+        ``math.fsum`` of that many copies), else ``math.fsum``."""
+        if len(self._by_weight) == 1:
+            return len(members) * next(iter(self._by_weight))
+        return math.fsum(map(self._weight.__getitem__, members))
 
 
 def allocate_rates(
@@ -138,6 +130,8 @@ def allocate_rates(
     (put into a fresh table first); the table's flows are left as they are.
     Flows with an empty link set (src == dst transfers) get ``limit`` if
     finite, else ``inf`` — the caller treats those as local copies.
+    The returned dict maps every flow id to its rate; the order of its
+    keys is not part of the contract.
 
     Guarantees (property-tested):
 
@@ -149,21 +143,25 @@ def allocate_rates(
 
     Every active flow of one weight ``w`` starts at 0.0 and grows by the
     same ``grow * w`` each round, so one level per weight class is the
-    exact level of each of its flows.  Freezing and handing out rates
-    are set operations over flow ids; a link's weight total is re-summed
-    with ``math.fsum`` only when the link loses members.
+    exact level of each of its flows.  Each round makes one pass over
+    the links that both charges the growth and finds the saturated
+    links; freezing and handing out rates are set operations over flow
+    ids.  A link's weight total (:meth:`FlowTable._weight_total`) is
+    worked out once per solve and again only when the link loses members.
     """
     table = flows if isinstance(flows, FlowTable) else FlowTable(flows)
     rates: Dict[Hashable, float] = dict(table._local)
-    for lk in table._on_link:
-        if lk not in capacities:
-            fid = next(s.flow_id for s in table if lk in s.links)
-            raise KeyError(f"flow {fid!r} crosses unknown link {lk!r}")
+    on_link, total_of = table._on_link, table._weight_total
+    # per link: [remaining capacity, weight total, active member ids]
+    try:
+        links = [[float(capacities[lk]), total_of(members), members]
+                 for lk, members in on_link.items()]
+    except KeyError:
+        lk = next(lk for lk in on_link if lk not in capacities)
+        fid = next(s.flow_id for s in table if lk in s.links)
+        raise KeyError(f"flow {fid!r} crosses unknown link {lk!r}") from None
 
     weight_of = table._weight.__getitem__
-    members = {lk: set(m) for lk, m in table._on_link.items()}
-    total_w = dict(table._link_totals())
-    remaining = {lk: float(capacities[lk]) for lk in members}
     classes = {w: set(fids) for w, fids in table._by_weight.items()}
     level = dict.fromkeys(classes, 0.0)
     capped = dict(table._limits)
@@ -171,30 +169,36 @@ def allocate_rates(
     while classes:
         # Tightest link bounds the per-unit-weight growth of active flows.
         grow = _INF
-        for lk, tw in total_w.items():
-            if tw > 0:
-                grow = min(grow, remaining[lk] / tw)
-        # Rate-capped flows may stop growing before any link saturates.
-        limited = [
-            fid for fid, lim in capped.items()
-            if (lim - level[weight_of(fid)]) / weight_of(fid) <= grow + 1e-15
-        ]
-        if limited:
-            grow = max(0.0, min((capped[fid] - level[weight_of(fid)])
-                                / weight_of(fid) for fid in limited))
+        for remaining, tw, _ in links:
+            bound = remaining / tw
+            if bound < grow:
+                grow = bound
+        frozen: Set[Hashable] = set()
+        if capped:
+            # Rate-capped flows may stop growing before any link saturates.
+            limited = [
+                fid for fid, lim in capped.items()
+                if (lim - level[weight_of(fid)]) / weight_of(fid)
+                <= grow + 1e-15
+            ]
+            if limited:
+                grow = max(0.0, min((capped[fid] - level[weight_of(fid)])
+                                    / weight_of(fid) for fid in limited))
+                frozen.update(limited)
 
         if grow > 0:
             for w in level:
                 level[w] += grow * w
-            for lk, tw in total_w.items():
-                remaining[lk] -= grow * tw
-                if remaining[lk] < 0:
-                    remaining[lk] = 0.0
-
-        frozen: Set[Hashable] = set(limited)
-        for lk, m in members.items():
-            if remaining[lk] <= 1e-12:
-                frozen |= m
+            # a saturated link loses all its members this round, so its
+            # remaining capacity is never read again (no clamp at 0 needed)
+            for link in links:
+                link[0] = remaining = link[0] - grow * link[1]
+                if remaining <= 1e-12:
+                    frozen |= link[2]
+        else:
+            for remaining, _, members in links:
+                if remaining <= 1e-12:
+                    frozen |= members
         if not frozen:
             # numerical stall: freeze everything at current level
             frozen = frozen.union(*classes.values())
@@ -209,13 +213,18 @@ def allocate_rates(
         if capped:
             for fid in frozen.intersection(capped):
                 rates[fid] = min(rates[fid], capped.pop(fid))
-        shrunk = [lk for lk, m in members.items() if not m.isdisjoint(frozen)]
-        for lk in shrunk:
-            m = members[lk]
-            m -= frozen
-            if m:
-                total_w[lk] = math.fsum(map(weight_of, m))
+
+        emptied = False
+        for link in links:
+            members = link[2]
+            if members.isdisjoint(frozen):
+                continue
+            link[2] = members = members - frozen
+            if members:
+                link[1] = total_of(members)
             else:
-                del members[lk], total_w[lk]
+                emptied = True
+        if emptied:
+            links = [link for link in links if link[2]]
 
     return rates

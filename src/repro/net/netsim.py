@@ -8,14 +8,14 @@ used by datacenter-network simulators — accurate for transfers that are
 large relative to RTT (shuffles, block writes, VM migrations), which is
 exactly what the experiments here measure.
 
-Links are interned to integer ids and each flow's ``FlowSpec`` is built
-once and kept in one :class:`~repro.net.flows.FlowTable` from its start
-wave to its completion; flows starting at one instant share one solve
-(a *start wave*);
-one ``net-waker`` :class:`~repro.simcore.kernel.Alarm` is moved, not
-respawned, when rates change; a progress advance only decrements each
-flow's remaining bytes, and per-link bytes are charged once, when a flow
-finishes.
+Routes come from per-destination next-hop tables.  Links are interned
+to integer ids and each flow's ``FlowSpec`` is built once and kept in
+one :class:`~repro.net.flows.FlowTable` from its start wave to its
+completion; flows starting at one instant share one solve (a *start
+wave*); one ``net-waker`` :class:`~repro.simcore.kernel.Alarm` is
+moved, not respawned, when rates change; a progress advance only
+decrements each flow's remaining bytes, and per-link bytes are charged
+once, when a flow finishes.
 None of this changes a simulated float (``tests/net/test_netsim_pinned.py``).
 """
 

@@ -8,7 +8,9 @@ fabrics are provided: :func:`star`, :func:`leaf_spine`, :func:`fat_tree`,
 
 Routing is shortest-path with deterministic ECMP: when several next hops
 tie, the choice is a stable hash of the flow id, so multipath load spreading
-is reproducible run-to-run.
+is reproducible run-to-run.  Each destination's next hops are worked out
+once, from its BFS distances, and kept until a link is added; a path walk
+then only hashes at the hops where several next hops tie.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from ..common.errors import RoutingError
 from ..common.units import Gbit_per_s, us
@@ -27,6 +29,8 @@ __all__ = [
 ]
 
 LinkKey = FrozenSet[str]
+#: node -> its (next node, link) choices on shortest paths to one destination
+NextHops = Dict[str, List[Tuple[str, "Link"]]]
 
 
 def _lk(u: str, v: str) -> LinkKey:
@@ -68,7 +72,7 @@ class Topology:
         self.switches: List[str] = []
         self.links: Dict[LinkKey, Link] = {}
         self._adj: Dict[str, List[str]] = {}
-        self._dist_cache: Dict[str, Dict[str, int]] = {}
+        self._hop_cache: Dict[str, NextHops] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -101,7 +105,7 @@ class Topology:
         self.links[key] = link
         self._adj[u].append(v)
         self._adj[v].append(u)
-        self._dist_cache.clear()
+        self._hop_cache.clear()
         return link
 
     # -- queries -------------------------------------------------------------
@@ -120,10 +124,7 @@ class Topology:
         return self.links[_lk(u, v)]
 
     def _dist_from(self, target: str) -> Dict[str, int]:
-        """Hop distance of every node *to* ``target`` (BFS, cached)."""
-        cached = self._dist_cache.get(target)
-        if cached is not None:
-            return cached
+        """Hop distance of every node *to* ``target`` (BFS)."""
         dist = {target: 0}
         frontier = [target]
         while frontier:
@@ -134,8 +135,20 @@ class Topology:
                         dist[nb] = dist[node] + 1
                         nxt.append(nb)
             frontier = nxt
-        self._dist_cache[target] = dist
         return dist
+
+    def _next_hops(self, target: str) -> NextHops:
+        """For every node that reaches ``target``, its neighbours one hop
+        closer to it, in adjacency order, with the joining links (cached)."""
+        hops = self._hop_cache.get(target)
+        if hops is None:
+            dist = self._dist_from(target)
+            hops = {
+                node: [(nb, self.links[_lk(node, nb)]) for nb in self._adj[node]
+                       if dist.get(nb) == d - 1]
+                for node, d in dist.items() if d}
+            self._hop_cache[target] = hops
+        return hops
 
     def path(self, src: str, dst: str, flow_id: int = 0) -> List[Link]:
         """A shortest path from ``src`` to ``dst`` as a list of links.
@@ -146,17 +159,16 @@ class Topology:
         """
         if src == dst:
             return []
-        dist = self._dist_from(dst)
-        if src not in dist:
+        hops = self._next_hops(dst)
+        if src not in hops:
             raise RoutingError(f"no route from {src} to {dst}")
         path: List[Link] = []
         cur = src
         while cur != dst:
-            candidates = [nb for nb in self._adj[cur]
-                          if dist.get(nb, 1 << 30) == dist[cur] - 1]
-            pick = candidates[_stable_choice(flow_id, cur, len(candidates))]
-            path.append(self.links[_lk(cur, pick)])
-            cur = pick
+            choices = hops[cur]
+            n = len(choices)
+            cur, link = choices[_stable_choice(flow_id, cur, n) if n > 1 else 0]
+            path.append(link)
         return path
 
     def path_latency(self, path: Iterable[Link]) -> float:
@@ -165,12 +177,7 @@ class Topology:
 
     def hop_count(self, src: str, dst: str) -> int:
         """Number of links on a shortest src→dst path."""
-        if src == dst:
-            return 0
-        dist = self._dist_from(dst)
-        if src not in dist:
-            raise RoutingError(f"no route from {src} to {dst}")
-        return dist[src]
+        return len(self.path(src, dst))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Topology {self.name}: {len(self.hosts)} hosts, "
@@ -179,8 +186,6 @@ class Topology:
 
 def _stable_choice(flow_id: int, node: str, n: int) -> int:
     """Deterministic index in [0, n) from (flow id, node)."""
-    if n == 1:
-        return 0
     digest = hashlib.blake2b(
         f"{flow_id}:{node}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little") % n

@@ -26,12 +26,12 @@ __all__ = [
 
 
 def _vocabulary(size: int, rng: np.random.Generator) -> List[str]:
-    letters = np.array(list(string.ascii_lowercase))
+    letters = string.ascii_lowercase
     words = set()
     out = []
     while len(out) < size:
         length = int(rng.integers(3, 10))
-        w = "".join(rng.choice(letters, size=length))
+        w = "".join([letters[i] for i in rng.integers(0, 26, size=length)])
         if w not in words:
             words.add(w)
             out.append(w)
@@ -48,11 +48,15 @@ def zipf_text(n_docs: int, words_per_doc: int, vocab_size: int = 1000,
         raise ConfigError("counts must be positive")
     rng = ensure_rng(seed)
     vocab = np.array(_vocabulary(vocab_size, rng), dtype=object)
-    pmf = zipf_pmf(vocab_size, skew)
-    docs = []
-    for _ in range(n_docs):
-        idx = rng.choice(vocab_size, size=words_per_doc, p=pmf)
-        docs.append(" ".join(vocab[idx]))
+    # inverse-CDF draws, as ``rng.choice(vocab_size, p=pmf)`` makes them,
+    # for up to 64Ki words at a time (bounds the temporaries)
+    cdf = zipf_pmf(vocab_size, skew).cumsum()
+    cdf /= cdf[-1]
+    rows = max(1, 65536 // words_per_doc)
+    docs: List[str] = []
+    for start in range(0, n_docs, rows):
+        u = rng.random((min(rows, n_docs - start), words_per_doc))
+        docs += map(" ".join, vocab[cdf.searchsorted(u, side="right")].tolist())
     return docs
 
 

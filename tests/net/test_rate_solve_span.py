@@ -1,9 +1,12 @@
-"""The benchmark's per-layer split must keep seeing the rate solver.
+"""The benchmark's per-layer split must keep seeing the rate solver and
+the router.
 
 ``perfbench/spans.py`` times the flow model's solver by wrapping the
-module-level name ``repro.net.netsim.allocate_rates``.  If the call site
-were renamed, ``net.rate_solve`` would silently read zero and its time
-would land in ``net``.  One traced ``shuffle_sort`` job guards that.
+module-level name ``repro.net.netsim.allocate_rates``, and routing by
+wrapping ``Topology.path``.  If either entry point were renamed or
+bypassed, ``net.rate_solve`` or ``net.route`` would silently read zero
+and its time would land in ``net``.  One traced ``shuffle_sort`` job
+guards both, and pins how many solves that job makes.
 """
 
 import importlib.util
@@ -44,6 +47,9 @@ def test_traced_shuffle_sort_times_the_rate_solver():
         for sim in sims:
             sim.detach_observer()
     assert workload.check(inputs, out) == []
-    assert tracer.rate_solves > 0
+    # one solve per start wave and per completion instant, as before the
+    # solver and the router were made cheaper
+    assert tracer.rate_solves == 117
     by_job, _ = spans.self_times(tracer.spans())
     assert by_job[0]["net.rate_solve"] > 0
+    assert by_job[0]["net.route"] > 0

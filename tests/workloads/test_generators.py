@@ -183,3 +183,40 @@ class TestEventStream:
     def test_bad_scenario(self):
         with pytest.raises(ConfigError):
             event_stream("sawtooth", 100.0, 1.0)
+
+
+def _zipf_text_per_document(n_docs, words_per_doc, vocab_size=1000,
+                            skew=1.0, seed=None):
+    """Test-only oracle: ``zipf_text`` as one ``rng.choice`` per word of
+    the vocabulary and per document (the generator before batching)."""
+    import string
+
+    from repro.common.rng import ensure_rng, zipf_pmf
+
+    rng = ensure_rng(seed)
+    letters = np.array(list(string.ascii_lowercase))
+    words, vocab = set(), []
+    while len(vocab) < vocab_size:
+        w = "".join(rng.choice(letters, size=int(rng.integers(3, 10))))
+        if w not in words:
+            words.add(w)
+            vocab.append(w)
+    vocab = np.array(vocab, dtype=object)
+    pmf = zipf_pmf(vocab_size, skew)
+    return [" ".join(vocab[rng.choice(vocab_size, size=words_per_doc, p=pmf)])
+            for _ in range(n_docs)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (7, 13, 50), (40, 120, 300),
+                                   (200, 30, 2000), (30, 3000, 40)])
+@pytest.mark.parametrize("skew", [0.0, 1.0, 1.7])
+def test_zipf_text_matches_per_document_draws(shape, skew):
+    """The batched draw must give the documents, word for word, that one
+    ``Generator.choice`` per document gives, also when it draws in several
+    batches (the last shape); a numpy release that changes how ``choice``
+    draws fails here."""
+    n_docs, words_per_doc, vocab_size = shape
+    for seed in range(10):
+        assert zipf_text(n_docs, words_per_doc, vocab_size, skew, seed) == \
+            _zipf_text_per_document(n_docs, words_per_doc, vocab_size, skew,
+                                    seed), seed
