@@ -10,7 +10,7 @@ combine.  ``benchmarks/bench_p0_wallclock.py`` drives it and writes
 Two single-leg measurements per simulated-cluster workload:
 
 * ``shuffle_write`` — records/sec through :func:`~repro.dataflow.
-  shuffleio.write_buckets` on that workload's listed map-task outputs,
+  shuffleio.run_map_task` on that workload's listed map-task outputs,
   map-side combine included (one call per map task, one
   :class:`~repro.dataflow.costmodel.SizeEstimator` per executor),
   best of several reps.  Profiling shows end-to-end simulated jobs are
@@ -252,21 +252,24 @@ def _chunk(records: List, n_tasks: int) -> List[List]:
 
 def measure_shuffle_write(dep: ShuffleDependency, task_outputs: List[List],
                           reps: int = 5) -> Dict[str, Any]:
-    """Measure the map-side combine (when ``dep`` asks for one) plus
-    ``write_buckets`` over one stage's map-task outputs.
+    """Measure the map-side combine (when ``dep`` asks for one), the
+    bucket write and its sizing over one stage's map-task outputs, as
+    :func:`~repro.dataflow.shuffleio.run_map_task` does them.
 
     Each rep is one executor's worth of map tasks (a fresh
     :class:`SizeEstimator`, as each executor holds one); every rep must
     produce identical buckets.  Reports best-of-``reps`` throughput.
     """
     records = sum(len(t) for t in task_outputs)
-    combine = dep.map_side_combine and dep.aggregator is not None
 
     def run(_leg: str):
         estimator = SizeEstimator(_WRITE_COST)
-        return (lambda: [shuffleio.write_buckets(
-            dep, shuffleio._combine(dep, recs) if combine else recs,
-            _WRITE_COST, estimator)[0] for recs in task_outputs]), _same
+
+        def write(recs: List) -> List[List]:
+            out = shuffleio.run_map_task(dep, 0, None, _WRITE_COST, recs)
+            out.size(dep.shuffle_id, estimator)
+            return out.buckets
+        return (lambda: [write(recs) for recs in task_outputs]), _same
 
     secs = min(interleaved_ab(("write",), run, reps)["write"])
     return {

@@ -1,5 +1,7 @@
 """The dataflow engine: lazy plans, local execution, simulated clusters."""
 
+import importlib
+
 from .context import DataflowContext, ExecOptions
 from .costmodel import CostModel, SizeEstimator
 from .engine import EngineConfig, JobMetrics, JobResult, SimEngine
@@ -17,7 +19,6 @@ from .fusion import (
     segment_cache_shapes,
 )
 from .local import ExecutorBase
-from .mp import PooledExecutor, ProcessPoolBackend, audit_plan
 from .plan import Aggregator, Dataset, ShuffleDependency, SourceDataset
 from .shared import Accumulator, Broadcast
 from .stages import (
@@ -41,3 +42,11 @@ __all__ = [
     "reset_segment_cache", "prime_segments", "segment_cache_shapes",
     "Broadcast", "Accumulator",
 ]
+
+
+def __getattr__(name: str):
+    """Import the process-pool backend on first use (PEP 562), so that a
+    process without a pool loads neither ``mp`` nor multiprocessing."""
+    if name in ("PooledExecutor", "ProcessPoolBackend", "audit_plan"):
+        return getattr(importlib.import_module(f"{__name__}.mp"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -42,8 +42,10 @@ from ..simcore.resources import Store
 from ..storage import integrity
 from .costmodel import CostModel, SizeEstimator
 from .plan import Dataset, ShuffleDependency, TaskRuntime
-from .shuffleio import (count_sink_fallback, map_side_items, open_bucket,
-                        seal_buckets, write_buckets)
+from .shuffleio import (count_sink_fallback, open_bucket, run_map_task,
+                        seal_buckets)
+# perfbench/spans.py wraps this module-level name; nothing here calls it
+from .shuffleio import write_buckets  # noqa: F401
 from .stages import (
     Stage,
     build_stages,
@@ -997,13 +999,14 @@ class SimEngine:
                     else list(stage.dataset.iterate(split, runtime))
                 records_in = len(records)
             else:
-                # map output is folded here, at the compute site: with a
+                # the map task runs here, at the compute site: with a
                 # combine sink the pre-combine records never materialize
-                records, records_in, fallback = map_side_items(
-                    stage.shuffle_dep, split, runtime, prefetched)
-                if fallback is not None:
+                out = run_map_task(stage.shuffle_dep, split, runtime,
+                                   self.cost, prefetched)
+                records_in = out.records_in
+                if out.fallback is not None:
                     fb = metrics.combine_sink_fallbacks
-                    fb[fallback] = fb.get(fallback, 0) + 1
+                    fb[out.fallback] = fb.get(out.fallback, 0) + 1
             error = None
         except MissingShuffleError as exc:
             error = exc
@@ -1053,24 +1056,22 @@ class SimEngine:
         if stage.is_result:
             value: Any = per_partition(records) if per_partition else records
         else:
-            dep = stage.shuffle_dep
-            buckets, _written, bucket_bytes = write_buckets(
-                dep, records, self.cost, size_estimator=self._size_est)
+            # sized after compute: the first map task to get here fixes
+            # the shuffle's per-record size, and with it every shuffle_MB
+            sid = stage.shuffle_dep.shuffle_id
+            total = sum(out.size(sid, self._size_est))
             reg = obs_metrics.get_registry()
             if reg is not None:
-                reg.counter("engine.shuffle_write_bytes").inc(
-                    sum(bucket_bytes))
-            total = sum(bucket_bytes)
+                reg.counter("engine.shuffle_write_bytes").inc(total)
             if total > 0:
                 yield node.disk_write(total)
             if attempt.alive:
                 # sealed buckets are verified at reduce fetch; a corrupt
                 # one drops the map output and rides lineage recovery
                 buckets, seals = seal_buckets(
-                    buckets, stage.dataset.ctx.options.checksums)
-                self._register_map_output(
-                    dep.shuffle_id, split,
-                    _MapOutput(attempt.node, buckets, bucket_bytes, seals))
+                    out.buckets, stage.dataset.ctx.options.checksums)
+                self._register_map_output(sid, split, _MapOutput(
+                    attempt.node, buckets, out.bucket_bytes, seals))
             value = None
         if attempt.alive:
             attempt.alive = False

@@ -11,7 +11,7 @@ shuffle_metrics` — experiment F1 reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..common.errors import PlanError
 from .costmodel import SizeEstimator
@@ -22,11 +22,11 @@ from .plan import (
     TaskRuntime,
 )
 from .shuffleio import (
+    MapTaskOutput,
     count_sink_fallback,
-    map_side_items,
     open_bucket,
+    run_map_task,
     seal_buckets,
-    write_buckets,
 )
 
 __all__ = ["ExecutorBase", "LocalExecutor", "ShuffleMetrics"]
@@ -45,6 +45,14 @@ class ShuffleMetrics:
     def combine_ratio(self) -> float:
         """records_written / records_in (1.0 when no reduction)."""
         return self.records_written / self.records_in if self.records_in else 1.0
+
+    def add(self, out: MapTaskOutput) -> None:
+        """Account one sized map output and count its sink fallback."""
+        if out.fallback is not None:
+            count_sink_fallback(out.fallback)
+        self.records_in += out.records_in
+        self.records_written += out.written
+        self.bytes_written += sum(out.bucket_bytes)
 
 
 class _LocalRuntime(TaskRuntime):
@@ -67,16 +75,23 @@ class _LocalRuntime(TaskRuntime):
 class ExecutorBase:
     """The action surface shared by the in-process and pool executors.
 
-    Subclasses provide :meth:`collect_partitions`; the derived actions
-    here are defined purely in terms of it so both backends expose the
-    same semantics by construction.  Subclasses may override individual
-    actions with cheaper strategies (the local executor streams ``take``
-    lazily; the pool executor computes it partition-at-a-time to keep
-    accumulator side effects identical).
+    Subclasses provide :meth:`collect_partitions`, :meth:`_partitions`
+    and ``_write_shuffle(dep)``, which materializes one shuffle and
+    records its :class:`ShuffleMetrics` in ``shuffle_metrics``; the
+    actions here are defined in terms of them, so both backends expose
+    the same semantics by construction.
     """
+
+    shuffle_metrics: Dict[int, ShuffleMetrics]
 
     def collect_partitions(self, ds: Dataset) -> List[List]:
         """All partitions of ``ds`` as lists (runs the plan)."""
+        raise NotImplementedError
+
+    def _partitions(self, ds: Dataset) -> Iterator[List]:
+        """The partitions of ``ds`` in order, each computed only when
+        reached, so a partition :meth:`take` never reaches updates no
+        accumulator."""
         raise NotImplementedError
 
     def collect(self, ds: Dataset) -> List:
@@ -88,11 +103,11 @@ class ExecutorBase:
         return sum(len(p) for p in self.collect_partitions(ds))
 
     def take(self, ds: Dataset, n: int) -> List:
-        """First ``n`` records, scanning partitions in order."""
+        """First ``n`` records, scanning partitions lazily in order."""
         if n <= 0:
             return []
         out: List = []
-        for part in self.collect_partitions(ds):
+        for part in self._partitions(ds):
             for x in part:
                 out.append(x)
                 if len(out) >= n:
@@ -110,6 +125,20 @@ class ExecutorBase:
         if not seen:
             raise PlanError("reduce() on empty dataset")
         return acc
+
+    def _materialize_shuffles(self, ds: Dataset,
+                              visiting: Optional[Set[int]] = None) -> None:
+        """Depth-first: materialize every shuffle below ``ds`` once."""
+        if visiting is None:
+            visiting = set()
+        if ds.dataset_id in visiting:
+            return
+        visiting.add(ds.dataset_id)
+        for dep in ds.deps:
+            self._materialize_shuffles(dep.parent, visiting)
+            if isinstance(dep, ShuffleDependency) and \
+                    dep.shuffle_id not in self.shuffle_metrics:
+                self._write_shuffle(dep)
 
 
 class LocalExecutor(ExecutorBase):
@@ -130,27 +159,15 @@ class LocalExecutor(ExecutorBase):
 
     def collect_partitions(self, ds: Dataset) -> List[List]:
         """All partitions of ``ds`` as lists (runs the plan)."""
+        return list(self._partitions(ds))
+
+    def _partitions(self, ds: Dataset) -> Iterator[List]:
         self._materialize_shuffles(ds)
-        return [self._materialize(ds, i) for i in range(ds.n_partitions)]
+        return (self._materialize(ds, i) for i in range(ds.n_partitions))
 
     def count(self, ds: Dataset) -> int:
         """Number of records (keeps only one partition in memory)."""
-        self._materialize_shuffles(ds)
-        return sum(len(self._materialize(ds, i))
-                   for i in range(ds.n_partitions))
-
-    def take(self, ds: Dataset, n: int) -> List:
-        """First ``n`` records, scanning partitions lazily in order."""
-        if n <= 0:
-            return []
-        self._materialize_shuffles(ds)
-        out: List = []
-        for i in range(ds.n_partitions):
-            for x in self._materialize(ds, i):
-                out.append(x)
-                if len(out) >= n:
-                    return out
-        return out
+        return sum(len(p) for p in self._partitions(ds))
 
     def _materialize(self, ds: Dataset, split: int) -> List:
         """Compute one partition with accumulator exactly-once bookkeeping."""
@@ -173,40 +190,20 @@ class LocalExecutor(ExecutorBase):
 
     # -- shuffle materialization -----------------------------------------
 
-    def _materialize_shuffles(self, ds: Dataset,
-                              visiting: Optional[Set[int]] = None) -> None:
-        """Depth-first: materialize every shuffle below ``ds`` once."""
-        if visiting is None:
-            visiting = set()
-        if ds.dataset_id in visiting:
-            return
-        visiting.add(ds.dataset_id)
-        for dep in ds.deps:
-            self._materialize_shuffles(dep.parent, visiting)
-            if isinstance(dep, ShuffleDependency) and \
-                    dep.shuffle_id not in self._shuffle_store:
-                self._write_shuffle(dep)
-
     def _write_shuffle(self, dep: ShuffleDependency) -> None:
-        n_out = dep.partitioner.n_partitions
-        buckets: List[List] = [[] for _ in range(n_out)]
-        metrics = ShuffleMetrics(dep.shuffle_id)
-        cost = self.ctx.cost_model
+        sid = dep.shuffle_id
+        buckets: List[List] = [[] for _ in range(dep.partitioner.n_partitions)]
+        metrics = ShuffleMetrics(sid)
         for split in range(dep.parent.n_partitions):
-            items, records_in, fallback = self._as_task(
-                lambda: map_side_items(dep, split, self._runtime))
-            if fallback is not None:
-                count_sink_fallback(fallback)
-            metrics.records_in += records_in
-            split_buckets, written, bucket_bytes = write_buckets(
-                dep, items, cost, size_estimator=self._size_est)
-            metrics.records_written += written
-            metrics.bytes_written += sum(bucket_bytes)
-            for rid in range(n_out):
-                buckets[rid].extend(split_buckets[rid])
-        self._shuffle_store[dep.shuffle_id] = seal_buckets(
+            out = self._as_task(lambda: run_map_task(
+                dep, split, self._runtime, self.ctx.cost_model))
+            out.size(sid, self._size_est)
+            metrics.add(out)
+            for merged, bucket in zip(buckets, out.buckets):
+                merged.extend(bucket)
+        self._shuffle_store[sid] = seal_buckets(
             buckets, dep.parent.ctx.options.checksums)
-        self.shuffle_metrics[dep.shuffle_id] = metrics
+        self.shuffle_metrics[sid] = metrics
 
     # -- maintenance --------------------------------------------------------
 

@@ -25,14 +25,17 @@ Design:
   travel as raw frames).  Unserializable operators surface as
   :class:`~repro.common.errors.UnpicklableTaskError` naming the plan
   node, via :func:`audit_plan`, not as a deep worker traceback.
-* **Shuffle by file.**  Map tasks run ``map_side_items`` and
-  ``write_buckets`` (the same map-side combine path as the local
-  executor, compiled combine sink included) in the worker, write the
-  buckets to a per-(shuffle, map) scratch file, and stream back only a
-  *reference* (path + per-bucket offsets) plus the
-  :class:`~repro.dataflow.local.ShuffleMetrics` numbers.  Reduce tasks
-  on any worker seek straight to their bucket, reading map outputs in
-  map-split order — byte-identical record order to the in-process path.
+* **Shuffle by file.**  Map tasks run :func:`~repro.dataflow.shuffleio.
+  run_map_task` (the local executor's map task, compiled combine sink
+  included) in the worker, write the buckets to a per-(shuffle, map)
+  scratch file, and stream back only a *reference* (path + per-bucket
+  offsets) plus the task's :class:`~repro.dataflow.shuffleio.
+  MapTaskOutput` without its buckets.  The driver sizes those records
+  in map-split order, as the local executor does, so the pool's
+  :class:`~repro.dataflow.local.ShuffleMetrics` equal the local ones.
+  Reduce tasks on any worker seek straight to their bucket, reading map
+  outputs in map-split order — byte-identical record order to the
+  in-process path.
 * **Failure semantics.**  A worker death is detected on its pipe, the
   worker is respawned and re-primed, and the lost tasks are retried —
   each retry recorded in a ``repro.resilience``
@@ -63,7 +66,7 @@ import traceback
 import weakref
 from collections import deque
 from multiprocessing import connection as mpconn
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.errors import (
     ChecksumError,
@@ -122,7 +125,7 @@ def _walk_datasets(root: Dataset) -> List[Dataset]:
 def _plan_segment_shapes(datasets: Sequence[Dataset]) -> List[Tuple[str, ...]]:
     """Fused-segment step shapes the plan will compile (for priming):
     every mapped dataset's chain, plus the combine-sink shapes of the
-    map tasks that :func:`shuffleio.map_side_items` folds."""
+    map tasks that :func:`shuffleio.run_map_task` folds."""
     shapes: set = set()
     for ds in datasets:
         if isinstance(ds, MappedDataset):
@@ -280,7 +283,6 @@ class _WorkerState:
         self.cache: Dict[Tuple[int, int], List] = {}
         self.payloads: Dict[Tuple[int, int], List] = {}
         self.cost = None
-        self.size_est: Optional[SizeEstimator] = None
         self.prime_error: Optional[str] = None
         self.runtime = _WorkerRuntime(self)
 
@@ -298,7 +300,6 @@ def _do_prime(state: _WorkerState, blob: bytes, bufs: List[bytes]) -> None:
         state.shuffle_refs.clear()
     fusion.prime_segments(payload["shapes"])
     state.cost = payload["cost_model"]
-    state.size_est = SizeEstimator(state.cost)
     state.accumulators = payload["accumulators"]
     state.shuffle_refs.update(payload["shuffle_refs"])
     stack = [payload["root"]]
@@ -336,16 +337,12 @@ def _run_task(state: _WorkerState, out_path: Optional[str], blob: bytes,
             result: Dict[str, Any] = {"records": records}
         else:  # "map": compute the parent split and write its buckets
             dep = state.shuffle_deps[spec["id"]]
-            items, records_in, fallback = shuffleio.map_side_items(
-                dep, spec["split"], state.runtime)
-            buckets, written, bucket_bytes = shuffleio.write_buckets(
-                dep, items, state.cost, size_estimator=state.size_est)
+            out = shuffleio.run_map_task(dep, spec["split"], state.runtime,
+                                         state.cost)
             offsets = shuffleio.write_bucket_file(
-                out_path, buckets, dep.parent.ctx.options.checksums)
-            result = {"path": out_path, "offsets": offsets,
-                      "records_in": records_in, "written": written,
-                      "bucket_bytes": bucket_bytes,
-                      "sink_fallback": fallback}
+                out_path, out.buckets, dep.parent.ctx.options.checksums)
+            out.buckets = None   # the records travel by file
+            result = {"path": out_path, "offsets": offsets, "map": out}
     finally:
         stashes = [a._end_task() for a in accs]
         for key in spec["payloads"]:
@@ -389,8 +386,6 @@ def _worker_main(conn) -> None:
             if kind == "clear":
                 state.cache.clear()
                 state.shuffle_refs.clear()
-                if state.size_est is not None:
-                    state.size_est.invalidate()
                 continue
             if kind == "task":
                 tid, out_path = msg[1], msg[2]
@@ -825,37 +820,23 @@ class PooledExecutor(ExecutorBase):
         self.ctx = ctx
         self.backend = backend
         self.shuffle_metrics: Dict[int, ShuffleMetrics] = {}
+        self._size_est = SizeEstimator(ctx.cost_model)
         self._shuffle_refs: Dict[int, List] = {}
         self._shuffle_deps: Dict[int, ShuffleDependency] = {}
         self.integrity_recoveries = 0   # corrupt bucket files re-mapped
         self.retry_session = backend.retry_policy.session(
             key=f"pool-ctx{ctx.ctx_token}", job="pool")
 
-    # -- actions (collect / count / reduce come from ExecutorBase) -------
+    # -- actions (collect / count / take / reduce come from ExecutorBase) -
 
     def collect_partitions(self, ds: Dataset) -> List[List]:
         """All partitions of ``ds`` as lists (runs the plan in the pool)."""
         self._prepare(ds)
         return self._run_narrow(ds, list(range(ds.n_partitions)))
 
-    def take(self, ds: Dataset, n: int) -> List:
-        """First ``n`` records, partition-at-a-time.
-
-        Scans one partition per round trip so accumulator updates from
-        partitions the local executor would never materialize don't
-        happen here either.
-        """
-        if n <= 0:
-            return []
-        self._prepare(ds)
-        out: List = []
-        for i in range(ds.n_partitions):
-            (part,) = self._run_narrow(ds, [i])
-            for x in part:
-                out.append(x)
-                if len(out) >= n:
-                    return out
-        return out
+    def _partitions(self, ds: Dataset) -> Iterator[List]:
+        self._prepare(ds)   # then one partition per round trip
+        return (self._run_narrow(ds, [i])[0] for i in range(ds.n_partitions))
 
     def compute_partitions(self, ds: Dataset,
                            splits: Sequence[int]) -> Dict[int, List]:
@@ -870,7 +851,7 @@ class PooledExecutor(ExecutorBase):
     def _prepare(self, ds: Dataset) -> None:
         self.backend.prime(self.ctx, ds, self.ctx.accumulators,
                            self._shuffle_refs)
-        self._materialize_shuffles(ds, set())
+        self._materialize_shuffles(ds)
 
     def _run_narrow(self, ds: Dataset, splits: List[int],
                     apply_stashes: bool = True) -> List[List]:
@@ -933,8 +914,8 @@ class PooledExecutor(ExecutorBase):
         # the original attempt of this map already applied its accumulator
         # stashes and shuffle metrics; the re-run only replaces the bytes
         (res,) = self._run_specs([spec])
-        if res["sink_fallback"] is not None:
-            shuffleio.count_sink_fallback(res["sink_fallback"])
+        if res["map"].fallback is not None:
+            shuffleio.count_sink_fallback(res["map"].fallback)
         refs = self._shuffle_refs[sid]
         refs[m] = (res["path"], res["offsets"])
         self.backend.register_shuffle(sid, refs)
@@ -950,16 +931,6 @@ class PooledExecutor(ExecutorBase):
             for a, stash in zip(accs, res["stashes"]):
                 a._apply(stash)
 
-    def _materialize_shuffles(self, ds: Dataset, visiting: set) -> None:
-        if ds.dataset_id in visiting:
-            return
-        visiting.add(ds.dataset_id)
-        for dep in ds.deps:
-            self._materialize_shuffles(dep.parent, visiting)
-            if isinstance(dep, ShuffleDependency) \
-                    and dep.shuffle_id not in self._shuffle_refs:
-                self._write_shuffle(dep)
-
     def _write_shuffle(self, dep: ShuffleDependency) -> None:
         parent = dep.parent
         sid = dep.shuffle_id
@@ -974,14 +945,10 @@ class PooledExecutor(ExecutorBase):
         results = self._run_specs(specs)
         self._apply_stashes(results)
         metrics = ShuffleMetrics(sid)
-        refs = []
-        for res in results:   # map-split order
-            if res["sink_fallback"] is not None:
-                shuffleio.count_sink_fallback(res["sink_fallback"])
-            metrics.records_in += res["records_in"]
-            metrics.records_written += res["written"]
-            metrics.bytes_written += sum(res["bucket_bytes"])
-            refs.append((res["path"], res["offsets"]))
+        for res in results:   # map-split order, as the local executor sizes
+            res["map"].size(sid, self._size_est)
+            metrics.add(res["map"])
+        refs = [(res["path"], res["offsets"]) for res in results]
         self._shuffle_refs[sid] = refs
         self.backend.register_shuffle(sid, refs)
         self.shuffle_metrics[sid] = metrics
@@ -993,6 +960,7 @@ class PooledExecutor(ExecutorBase):
         self._shuffle_refs.clear()
         self._shuffle_deps.clear()
         self.shuffle_metrics.clear()
+        self._size_est.invalidate()
         self.backend._broadcast(("clear",))
         self.backend.invalidate_prime()
 

@@ -1,46 +1,42 @@
-"""Shared shuffle-write logic (map-side partitioning and combining).
+"""The map side of a shuffle: one map-task function for every executor.
 
-Three sites write map output — ``SimEngine._task_proc``, the pool
-worker's ``"map"`` task (``mp._run_task``) and
-``LocalExecutor._write_shuffle`` — and all three go through the same two
-steps, so the combiner semantics, and the volume accounting the
-experiments read, are identical in local, pooled and simulated
-execution:
+:func:`run_map_task` computes one map split and returns a
+:class:`MapTaskOutput` record.  ``LocalExecutor._write_shuffle``, the
+pool worker's ``"map"`` task (``mp._run_task``) and
+``SimEngine._task_proc`` all call it at the task's compute site and keep
+only their own store step: the local executor merges the buckets per
+reducer and seals them, a pool worker spills them to a file, and the
+simulated engine seals them per map output.  Inside it:
 
-1. :func:`map_side_items`, at the task's compute site, produces the
-   records bound for the wire and the pre-combine record count.  When
-   the shuffle combines map-side and the map dataset's fused chain ends
-   in an element segment, the records never materialize: the chain is
-   compiled with a combine sink (:func:`~repro.dataflow.fusion.
-   fold_chain`) that folds each one straight into the combined dict.
-   Otherwise — with every such fallback named by a reason from
-   :data:`SINK_FALLBACKS` and counted by the caller — it lists the
-   partition and folds it with :func:`_combine`.  ``ExecOptions(fusion=
-   False)`` is that reference path, not a fallback.
-2. :func:`write_buckets`, at write time, partitions, scatters and sizes
-   them.  It never combines: :func:`map_side_items` is the only
-   map-side combine site.
+1. :func:`map_side_items` produces the records bound for the wire and
+   the pre-combine record count.  When the shuffle combines map-side and
+   the map dataset's fused chain ends in an element segment, the records
+   never materialize: the chain is compiled with a combine sink
+   (:func:`~repro.dataflow.fusion.fold_chain`) that folds each one
+   straight into the combined dict.  Otherwise — naming the fallback by
+   a reason from :data:`SINK_FALLBACKS`, which the caller counts — it
+   lists the partition and folds it with :func:`_combine`.
+   ``ExecOptions(fusion=False)`` is that reference path, not a fallback.
+2. :func:`write_buckets` partitions and scatters them, vectorized: one
+   :meth:`~repro.dataflow.partitioner.Partitioner.partition_many` pass
+   and one zip-append sweep, over the *combined* items when the shuffle
+   combines.  It never combines.  Buckets are byte-identical to the
+   per-record reference :func:`_write_buckets_scalar`, which no executor
+   calls: it survives as the tests' oracle.
 
-The write path is **vectorized**: keys are partitioned in one
-:meth:`~repro.dataflow.partitioner.Partitioner.partition_many` pass and
-records are scattered to buckets in one zip-append sweep over the id
-array instead of one ``partition()`` call per record.  With map-side
-combining only the *combined* items — typically far fewer — are
-partitioned and scattered.  Bucket contents and ordering are
-byte-identical to the per-record reference :func:`_write_buckets_scalar`,
-which no executor calls: it survives only as the tests' correctness
-oracle and as executable documentation of the semantics.
-
-Byte accounting goes through an optional
-:class:`~repro.dataflow.costmodel.SizeEstimator` so one map output
-pickles at most one bounded sample (memoized per shuffle), not one
-sample per bucket.
+Sizing is the caller's step, :meth:`MapTaskOutput.size`, against the
+:class:`~repro.dataflow.costmodel.SizeEstimator` that owns the shuffle:
+the first map output sized fixes the per-record size from its bounded
+sample.  The local and pool executors size on the driver in split
+order, so their :class:`~repro.dataflow.local.ShuffleMetrics` are equal;
+the simulated engine sizes a map output when its task finishes compute.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,8 +48,8 @@ from . import fusion
 from .costmodel import CostModel, SizeEstimator
 from .plan import MappedDataset, ShuffleDependency, TaskRuntime
 
-__all__ = ["map_side_items", "count_sink_fallback", "SINK_FALLBACKS",
-           "write_buckets", "seal_buckets", "open_bucket",
+__all__ = ["MapTaskOutput", "run_map_task", "count_sink_fallback",
+           "SINK_FALLBACKS", "seal_buckets", "open_bucket",
            "write_bucket_file", "read_bucket_file"]
 
 #: Why a map task of a map-side-combining shuffle could not fold its
@@ -109,19 +105,10 @@ def _sink_fallback(ds, prefetched: bool) -> Optional[str]:
 def map_side_items(dep: ShuffleDependency, split: int,
                    runtime: TaskRuntime, records: Optional[List] = None,
                    ) -> Tuple[List, int, Optional[str]]:
-    """Compute map split ``split`` of ``dep`` into its shuffle-write input.
-
-    Returns ``(items, records_in, fallback)``.  ``items`` are the
-    combined ``(key, combiner)`` pairs when ``dep`` combines map-side,
-    else the records themselves; pass them to :func:`write_buckets`.
-    ``records_in`` is the pre-combine record count
-    (what the cost model charges).  ``fallback`` names the
-    :data:`SINK_FALLBACKS` reason a combining split could not fold
-    through the compiled sink, for the caller to count; it is None when
-    the sink ran, when nothing combines, and with fusion off.
-    ``records`` are the split's records when already computed (a pool
-    prefetch).
-    """
+    """``(items, records_in, fallback)`` of map split ``split``: the
+    combined ``(key, combiner)`` pairs when ``dep`` combines map-side
+    (else the records), the pre-combine record count and the
+    :data:`SINK_FALLBACKS` reason the sink did not run, if one applies."""
     ds = dep.parent
     combine = dep.map_side_combine and dep.aggregator is not None
     fallback = None
@@ -145,38 +132,63 @@ def count_sink_fallback(reason: str, n: int = 1) -> None:
         reg.counter(f"dataflow.combine_sink_fallbacks.{reason}").inc(n)
 
 
-def _bucket_bytes(buckets: List[List], written_records: Sequence,
-                  shuffle_id: int, cost: CostModel,
-                  size_estimator: Optional[SizeEstimator]) -> List[float]:
-    if size_estimator is None:
-        return [cost.estimate_bytes(b) for b in buckets]
-    key = ("shuffle", shuffle_id)
-    return [size_estimator.estimate_count(key, len(b), written_records)
-            for b in buckets]
-
-
-def write_buckets(dep: ShuffleDependency, items: Sequence,
-                  cost: CostModel,
-                  size_estimator: Optional[SizeEstimator] = None,
-                  ) -> Tuple[List[List], int, List[float]]:
+def write_buckets(dep: ShuffleDependency, items: Sequence) -> List[List]:
     """Partition ``items`` — :func:`map_side_items`' output, already
-    combined when ``dep`` combines map-side — into reduce buckets.
-
-    Returns ``(buckets, records_written, bytes_per_bucket)`` where byte
-    counts are cost-model estimates of the serialized bucket sizes
-    (memoized per shuffle when a ``size_estimator`` is supplied).
-    """
+    combined when ``dep`` combines map-side — into reduce buckets."""
     n_out = dep.partitioner.n_partitions
-    items = items if isinstance(items, list) else list(items)
     if not items:
-        buckets: List[List] = [[] for _ in range(n_out)]
-    else:
-        keys = [rec[0] for rec in items]
-        part_ids = dep.partitioner.partition_many(keys)
-        buckets = _scatter(items, part_ids, n_out)
-    bucket_bytes = _bucket_bytes(buckets, items, dep.shuffle_id, cost,
-                                 size_estimator)
-    return buckets, len(items), bucket_bytes
+        return [[] for _ in range(n_out)]
+    part_ids = dep.partitioner.partition_many([rec[0] for rec in items])
+    return _scatter(items, part_ids, n_out)
+
+
+@dataclass
+class MapTaskOutput:
+    """What one map task wrote to its shuffle.
+
+    ``buckets`` are the reduce buckets (None once a pool worker has
+    spilled them), ``records_in`` the pre-combine record count the cost
+    model charges, ``written`` the records after map-side combining and
+    ``fallback`` the :data:`SINK_FALLBACKS` reason the task could not fold
+    through the compiled sink (None when it did, or nothing combines).
+    ``sample`` is the cost model's bounded sample of the written records
+    and ``lengths`` the bucket lengths: all :meth:`size` needs to fill in
+    ``bucket_bytes``.
+    """
+
+    buckets: Optional[List[List]]
+    records_in: int
+    written: int
+    fallback: Optional[str]
+    sample: List
+    lengths: List[int]
+    bucket_bytes: Optional[List[float]] = None
+
+    def size(self, shuffle_id: int, estimator: SizeEstimator) -> List[float]:
+        """Estimate each bucket's serialized bytes, under the per-record
+        size the shuffle's first sized map output fixed in ``estimator``
+        (one pickled sample per shuffle, not per bucket)."""
+        key = ("shuffle", shuffle_id)
+        self.bucket_bytes = [
+            estimator.estimate_count(key, n, self.sample)
+            for n in self.lengths]
+        return self.bucket_bytes
+
+
+def run_map_task(dep: ShuffleDependency, split: int, runtime: TaskRuntime,
+                 cost: CostModel, records: Optional[List] = None,
+                 ) -> MapTaskOutput:
+    """Compute map split ``split`` of ``dep`` and partition its shuffle
+    write.  ``records`` are the split's records when already computed (a
+    pool prefetch).  The caller counts the record's ``fallback``, sizes
+    it with :meth:`MapTaskOutput.size` and stores its buckets."""
+    items, records_in, fallback = map_side_items(dep, split, runtime,
+                                                 records)
+    buckets = write_buckets(dep, items)
+    return MapTaskOutput(
+        buckets, records_in, len(items), fallback,
+        [items[i] for i in cost.sample_indices(len(items))],
+        [len(b) for b in buckets])
 
 
 # -- stored buckets (in-process executors) -----------------------------------
@@ -284,7 +296,7 @@ def _write_buckets_scalar(dep: ShuffleDependency, records: Sequence,
                           cost: CostModel,
                           ) -> Tuple[List[List], int, List[float]]:
     """The per-record reference path, combining raw records itself: the
-    tests' oracle for :func:`map_side_items` + :func:`write_buckets`."""
+    tests' oracle for :func:`run_map_task`."""
     n_out = dep.partitioner.n_partitions
     buckets: List[List] = [[] for _ in range(n_out)]
     if dep.map_side_combine and dep.aggregator is not None:

@@ -96,6 +96,25 @@ def test_pool_actions_match_local(pool):
     assert a.take_ordered(5) == b.take_ordered(5)
 
 
+def test_pool_shuffle_metrics_match_local(pool):
+    # split 0's words are longer than any other split's, so a worker that
+    # fixed the shuffle's per-record size from the first split it ran
+    # would report other bytes; the driver sizes in split order instead
+    words = ["x" * 40] * 50 + [f"w{i % 30}" for i in range(150)]
+
+    def run(ctx, ex):
+        out = (ctx.parallelize(words, 4).map(lambda w: (w, 1))
+               .reduce_by_key(lambda a, b: a + b, 3).collect())
+        return sorted(out), {
+            sid: (m.records_in, m.records_written, m.bytes_written)
+            for sid, m in ex(ctx).shuffle_metrics.items()}
+
+    local = run(DataflowContext(default_parallelism=4),
+                lambda ctx: ctx.local_executor)
+    assert local[1][0][:2] == (200, 91)
+    assert run(pool_ctx(pool), lambda ctx: ctx.pooled_executor) == local
+
+
 # -- shared variables ------------------------------------------------------
 
 

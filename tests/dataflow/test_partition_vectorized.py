@@ -2,8 +2,8 @@
 and byte-identity of the vectorized shuffle write.
 
 The contract under test: ``partition_many(keys)[i] == partition(keys[i])``
-for every key the scalar path accepts, and ``write_buckets`` (fed the
-map-side-combined items, as every executor feeds it) produces
+for every key the scalar path accepts, and every executor's map task,
+``run_map_task`` (map-side combine, then ``write_buckets``), produces
 *identical* buckets (contents and order) to the per-record reference
 ``_write_buckets_scalar`` — the oracle no executor runs, kept so the
 vectorized writer can never change a job's output, only its speed.
@@ -22,15 +22,15 @@ from repro.cluster import make_cluster
 from repro.dataflow import (
     CostModel,
     DataflowContext,
+    ExecOptions,
     HashPartitioner,
     RangePartitioner,
     SimEngine,
-    SizeEstimator,
     stable_hash,
     stable_hash_many,
 )
 from repro.dataflow import shuffleio
-from repro.dataflow.plan import Aggregator, ShuffleDependency
+from repro.dataflow.plan import Aggregator, ShuffleDependency, TaskRuntime
 from repro.simcore import Simulator
 from repro.workloads import teragen, zipf_text
 
@@ -147,22 +147,38 @@ _SUM = Aggregator(create=lambda v: v,
                   merge_combiners=lambda a, b: a + b)
 
 
-def _dep(partitioner, aggregator=None, combine=False):
-    ctx = DataflowContext(default_parallelism=2)
-    parent = ctx.parallelize([("_", 0)], 1)
-    return ShuffleDependency(parent, partitioner, aggregator=aggregator,
-                             map_side_combine=combine)
+#: How the map dataset of a shuffle is built from its records, and the
+#: ``SINK_FALLBACKS`` reason a combining map task reports on it with
+#: fusion on (``prefetched``: the records are handed in via ``records=``).
+_PARENTS = {
+    "sink": (lambda src: src.map(lambda r: r), None),
+    "not_mapped": (lambda src: src, "not_mapped"),
+    "iter_tail": (lambda src: src.map_partitions(list), "iter_tail"),
+    "cached": (lambda src: src.map(lambda r: r).cache(), "cached"),
+    "prefetched": (lambda src: src.map(lambda r: r), "prefetched"),
+}
 
 
-def _both_legs(dep, records):
-    """The executors' path (map-side combine, then ``write_buckets``)
-    against the scalar oracle, which combines the raw records itself."""
+def _both_legs(partitioner, records, aggregator=None, parent="sink",
+               fusion=True):
+    """The executors' map task (``run_map_task``, one split) against the
+    scalar oracle, which combines the raw records itself; the map-side
+    combine is on exactly when an ``aggregator`` is given."""
+    ctx = DataflowContext(default_parallelism=1,
+                          options=ExecOptions(fusion=fusion))
+    build, reason = _PARENTS[parent]
+    dep = ShuffleDependency(build(ctx.parallelize(records, 1)), partitioner,
+                            aggregator=aggregator,
+                            map_side_combine=aggregator is not None)
     cost = CostModel()
-    items = (shuffleio._combine(dep, records) if dep.map_side_combine
-             else records)
-    vec = shuffleio.write_buckets(dep, items, cost, SizeEstimator(cost))
+    out = shuffleio.run_map_task(
+        dep, 0, TaskRuntime(), cost,
+        list(records) if parent == "prefetched" else None)
     scalar = shuffleio._write_buckets_scalar(dep, records, cost)
-    return vec, scalar
+    assert out.records_in == len(records)
+    assert out.lengths == [len(b) for b in out.buckets]
+    assert out.fallback == (reason if aggregator and fusion else None)
+    return out, scalar
 
 
 class TestWriteBucketsByteIdentity:
@@ -172,32 +188,44 @@ class TestWriteBucketsByteIdentity:
     def test_hash_shuffle(self, family, combine):
         keys = _key_families()[family]
         records = [(k, i % 7) for i, k in enumerate(keys * 4)]
-        dep = _dep(HashPartitioner(8), _SUM if combine else None, combine)
-        vec, scalar = _both_legs(dep, records)
-        assert vec[0] == scalar[0]          # bucket contents AND order
-        assert vec[1] == scalar[1]          # records written
+        out, scalar = _both_legs(HashPartitioner(8), records,
+                                 _SUM if combine else None)
+        assert out.buckets == scalar[0]     # bucket contents AND order
+        assert out.written == scalar[1]     # records written
 
     def test_range_shuffle_identical(self):
         records = teragen(4000, key_bytes=10, payload_bytes=8, seed=5)
         part = RangePartitioner.from_sample([r[0] for r in records[:400]],
                                             8, seed=6)
-        vec, scalar = _both_legs(_dep(part), records)
-        assert vec[0] == scalar[0]
-        assert vec[1] == scalar[1]
+        out, scalar = _both_legs(part, records)
+        assert out.buckets == scalar[0]
+        assert out.written == scalar[1]
 
     def test_combine_identical_order_and_counts(self):
         docs = zipf_text(n_docs=40, words_per_doc=100, vocab_size=80,
                          skew=1.3, seed=7)
         records = [(w, 1) for d in docs for w in d.split()]
-        vec, scalar = _both_legs(_dep(HashPartitioner(4), _SUM, True),
-                                 records)
-        assert vec[0] == scalar[0]
-        assert vec[1] == scalar[1]
+        out, scalar = _both_legs(HashPartitioner(4), records, _SUM)
+        assert out.buckets == scalar[0]
+        assert out.written == scalar[1]
 
     def test_empty_input(self):
-        vec, scalar = _both_legs(_dep(HashPartitioner(4)), [])
-        assert vec[0] == scalar[0] == [[] for _ in range(4)]
-        assert vec[1] == scalar[1] == 0
+        out, scalar = _both_legs(HashPartitioner(4), [])
+        assert out.buckets == scalar[0] == [[] for _ in range(4)]
+        assert out.written == scalar[1] == 0
+
+    @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
+    @pytest.mark.parametrize("combine", [False, True],
+                             ids=["plain", "combine"])
+    @pytest.mark.parametrize("parent", sorted(_PARENTS))
+    def test_every_map_dataset_shape(self, parent, combine, fusion):
+        docs = zipf_text(n_docs=20, words_per_doc=50, vocab_size=60,
+                         skew=1.2, seed=9)
+        records = [(w, len(w)) for d in docs for w in d.split()]
+        out, scalar = _both_legs(HashPartitioner(5), records,
+                                 _SUM if combine else None, parent, fusion)
+        assert out.buckets == scalar[0]
+        assert out.written == scalar[1]
 
 
 class TestEndToEndByteIdentity:

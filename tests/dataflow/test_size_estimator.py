@@ -90,10 +90,18 @@ class TestSizeEstimator:
 
 
 class TestWriteBucketsSampling:
+    """A map task's record is sized from its bounded sample, one pickled
+    sample per shuffle (``MapTaskOutput.size``)."""
+
     def _dep(self):
         ctx = DataflowContext(default_parallelism=2)
         parent = ctx.parallelize([("_", 0)], 1)
         return ShuffleDependency(parent, HashPartitioner(16))
+
+    def _sized(self, dep, records, cost, est):
+        out = shuffleio.run_map_task(dep, 0, None, cost, records)
+        out.size(dep.shuffle_id, est)
+        return out
 
     def test_one_sample_per_map_output_not_per_bucket(self, monkeypatch):
         counter = _PickleCounter(monkeypatch)
@@ -101,29 +109,29 @@ class TestWriteBucketsSampling:
         est = SizeEstimator(cost)
         dep = self._dep()
         records = [(i, i) for i in range(2000)]
-        shuffleio.write_buckets(dep, records, cost, est)
+        self._sized(dep, records, cost, est)
         assert counter.calls == 32              # one sample, not 16
         # a second map output for the same shuffle: zero new pickles
-        shuffleio.write_buckets(dep, records, cost, est)
+        self._sized(dep, records, cost, est)
         assert counter.calls == 32
 
-    def test_without_estimator_samples_per_bucket(self, monkeypatch):
-        counter = _PickleCounter(monkeypatch)
-        cost = CostModel(sample_size=32)
+    def test_sample_sizes_like_the_whole_output(self):
+        # the record carries only cost.sample_indices' records, and they
+        # fix the same per-record size as sampling the whole output
+        cost = CostModel(sample_size=8)
         dep = self._dep()
-        records = [(i, i) for i in range(2000)]
-        shuffleio.write_buckets(dep, records, cost, None)
-        assert counter.calls > 32               # legacy per-bucket sampling
+        records = [(i, "v" * (i % 13)) for i in range(300)]
+        out = self._sized(dep, records, cost, SizeEstimator(cost))
+        assert len(out.sample) == 8
+        assert cost.per_record_bytes(out.sample) == \
+            cost.per_record_bytes(records)
 
     def test_bucket_bytes_consistent_with_cost_model(self):
         cost = CostModel()
         dep = self._dep()
         records = [(i, "v" * 10) for i in range(500)]
-        _, _, with_est = shuffleio.write_buckets(dep, records, cost,
-                                                 SizeEstimator(cost))
-        buckets, _, _ = shuffleio.write_buckets(dep, records, cost, None)
-        # same per-record profile modulo which records got sampled
-        assert len(with_est) == 16
-        for est_bytes, bucket in zip(with_est, buckets):
-            if bucket:
-                assert est_bytes > 0
+        out = self._sized(dep, records, cost, SizeEstimator(cost))
+        per = cost.per_record_bytes(records)
+        assert len(out.bucket_bytes) == 16
+        assert out.lengths == [len(b) for b in out.buckets]
+        assert out.bucket_bytes == [per * len(b) for b in out.buckets]

@@ -227,6 +227,7 @@ class Run:
     ordered: bool = False      # an order_by(+limit) query
     kinds: tuple = ()          # adaptive rewrites that fired
     ledger: bytes = b""        # local: shuffle store and metrics
+    volume: dict = None        # local, pool: ShuffleMetrics per shuffle
     sim_s: str = ""            # repr of the simulated end time
     events: int = 0            # kernel events processed
     trace: tuple = ()          # injection-trace signature
@@ -253,12 +254,15 @@ def run_cell(program: Program, options: ExecOptions, executor: str,
     try:
         if executor in ("local", "pool"):
             run.rows = ds.collect()
+            ex = ctx.local_executor if executor == "local" \
+                else ctx.pooled_executor
+            run.volume = {sid: (m.records_in, m.records_written,
+                                m.bytes_written)
+                          for sid, m in ex.shuffle_metrics.items()}
         if executor == "local":
-            ex = ctx.local_executor
             run.ledger = pickle.dumps((
                 {sid: local_buckets(ex, sid) for sid in ex._shuffle_store},
-                {sid: (m.records_in, m.records_written, m.bytes_written)
-                 for sid, m in ex.shuffle_metrics.items()}))
+                run.volume))
         if executor in SIM_EXECUTORS:
             sim = Simulator()
             cluster = make_cluster(sim, n_racks=2, nodes_per_rack=4)
@@ -323,6 +327,8 @@ def check(program: Program, pool: ProcessPoolBackend) -> Counter:
         unfused = runs[dataclasses.replace(options, fusion=False),
                        executor, plan]
         assert run.ledger == unfused.ledger, f"(f) local ledger: {at}"
+        assert executor in SIM_EXECUTORS or run.volume == runs[
+            options, "local", "none"].volume, f"(f) shuffle volume: {at}"
         stats.update(f"{options.adaptive is SKEW}:{k}" for k in run.kinds)
         if executor not in SIM_EXECUTORS:
             continue

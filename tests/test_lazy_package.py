@@ -3,8 +3,10 @@
 ``repro/__init__.py`` imports its subpackages on first attribute access
 (PEP 562), so a program that only needs the dataflow engine does not
 pay for the serving gateway, the cloud and SQL layers, chaos, or
-streaming.  Checked in a fresh interpreter, since this test process
-has long since imported everything.
+streaming.  ``repro.dataflow`` does the same for its process-pool
+backend, so a process without a pool loads neither ``mp`` nor
+``multiprocessing``.  Checked in a fresh interpreter, since this test
+process has long since imported everything.
 """
 
 import os
@@ -15,6 +17,7 @@ import repro
 
 UPPER = ["repro.serve", "repro.cloud", "repro.sql", "repro.chaos",
          "repro.streaming"]
+POOL = ["repro.dataflow.mp", "multiprocessing"]
 
 
 def _fresh(code: str) -> str:
@@ -35,3 +38,12 @@ def test_subpackage_attribute_imports_on_first_use():
                  "print('repro.sql' in sys.modules, repro.sql.__name__,\n"
                  "      'repro.sql' in sys.modules)")
     assert out.split() == ["False", "repro.sql", "True"]
+
+
+def test_dataflow_import_leaves_the_pool_unloaded():
+    out = _fresh(f"import sys, repro.dataflow\n"
+                 f"print(sorted(m for m in {POOL!r} if m in sys.modules))\n"
+                 f"print(repro.dataflow.ProcessPoolBackend.__module__,\n"
+                 f"      sorted(m for m in {POOL!r} if m in sys.modules))")
+    assert out.split("\n")[:2] == [
+        "[]", "repro.dataflow.mp ['multiprocessing', 'repro.dataflow.mp']"]
