@@ -6,20 +6,16 @@ records/sec on a fixed basket (wordcount, terasort, pagerank, skewed
 combine), end-to-end job wall seconds, and DES-kernel event counts (all
 single-leg: the cross-commit end-to-end record is ``perfbench/``).  It
 A/Bs the execution optimizers (fusion, columnar SQL, vectorized joins
-and windows) against their reference paths, and also measures the
-observability layer's overhead (the fully traced leg upper-bounds the
-disabled cost; the <5% guard is enforced here), the warm process-pool
-backend against in-process execution at 1/2/``--workers`` workers (the
-``pool_speedup`` summary field; >= 2x on the CPU-bound headline basket
-at 4 workers when >= 4 cores are present), the multi-tenant serving
-gateway over three tenant mixes plus a chaos sweep (per-tenant p99 /
-goodput-per-dollar / Jain fairness, exact conservation on every seed),
-the checksummed data plane A/B'd on/off (the <5% integrity-overhead
-guard), an empty chaos fault plan attached vs bare (the < 1.25x chaos
-guard), and, with ``--profile``, prints the kernel event mix and
-per-operator self-time profile from :mod:`repro.obs.profile`.  Writes
-``BENCH_wallclock.json`` next to the repo root so every PR leaves a
-comparable perf trajectory.
+and windows) against their reference paths, the warm process-pool
+backend against in-process execution at 1/2/``--workers`` workers, and
+what disabled observability, idle resilience policies, the checksummed
+data plane and an empty chaos fault plan cost; it also runs the
+sustained-throughput search and the multi-tenant serving gateway over
+three tenant mixes plus a chaos sweep, and, with ``--profile``, prints
+the kernel event mix and per-operator self-time profile from
+:mod:`repro.obs.profile`.  Every bound the report is held to is one row
+of ``repro.bench.perfsuite.GUARDS``.  Writes ``BENCH_wallclock.json``
+next to the repo root so every PR leaves a comparable perf trajectory.
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_p0_wallclock.py``
                  ``... bench_p0_wallclock.py 0.25 --profile``
@@ -35,7 +31,8 @@ import sys
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import one_round
 
-from repro.bench.perfsuite import profile_end_to_end, run_suite, write_report
+from repro.bench.perfsuite import (check_guards, profile_end_to_end,
+                                   run_suite, write_report)
 
 REPORT = os.path.join(os.path.dirname(__file__), os.pardir,
                       "BENCH_wallclock.json")
@@ -57,98 +54,18 @@ def run_p0(scale: float = 1.0, report_path: str = REPORT,
 
 
 def enforce_guards(payload: dict) -> None:
-    """Regression guards for the PR-3..PR-6 execution optimizers.
-
-    Narrow-chain fusion must stay >= 1.2x at every scale (it is a
-    per-record win, so smoke scales see it too); the columnar SQL engine
-    must reach 1.5x at the default scale (>= 1.1x on smoke scales, where
-    fixed per-query costs dominate).  The vectorized hash join (PR 7)
-    must reach 3x over the row-interpreter join at the default scale
-    (>= 1.2x on smoke scales) and its adaptive-execution leg must have
-    produced the identical result set.  The observability layer must cost
-    < 5% when disabled — guarded via the fully *traced* leg, whose
-    instrumentation work is a strict superset of the disabled path's
-    (the same module-global loads and ``None`` checks, plus all the
-    recording), so the disabled cost is strictly below the guarded
-    number.  Attaching an empty chaos fault plan must cost < 1.25x on
-    each of its three workloads (median of per-rep attached/bare
-    ratios, always measured at scale 1.0).
-
-    The process-pool guard is conditional on the machine being able to
-    show a win at all: it enforces only when the sweep reached >= 4
-    workers on >= 4 cores and the scale is >= 0.25 (below that the jobs
-    are milliseconds and dispatch overhead dominates any backend).  The
-    floor is 2.0x at the default scale and 1.3x at smoke scales.  On
-    runners with < 4 cores the measurement still runs and legs must
-    agree byte-for-byte, but the report marks ``insufficient_cores``
-    and nulls the headline ``pool_speedup`` — the guard then *prints*
-    the skip instead of silently gating on a number a 1-core box cannot
-    produce.
-
-    PR 8 adds the streaming guards: the vectorized windowed aggregator
-    must be byte-identical to the scalar oracle and >= 5x faster at the
-    default scale (>= 1.5x on smoke scales, where per-batch fixed costs
-    dominate); the sustained-throughput section must report a positive
-    knee for every scenario with conservation intact in every overload
-    leg, and the backpressured interior must stay at least 2x tighter
-    than the unbounded one on the uniform overload leg.
-
-    PR 9 adds the multi-tenant serving guards: every tenant mix must
-    complete work with exact per-tenant conservation (``submitted ==
-    rejected + completed + failed``, zero inflight after drain), the
-    balanced mix of statistically identical tenants must score Jain
-    fairness >= 0.9, goodput-per-dollar must be positive everywhere,
-    and the chaos sweep must hold conservation on every seed while
-    degrading p99 gracefully (within 10x of fault-free).
-
-    These are the only copies of these bounds: CI runs this bench at
-    scale 0.5, where every reduced-scale floor above, the 1.3x pool floor
-    included, is live.
+    """Hold the report to every row of ``perfsuite.GUARDS``, printing
+    each reading, then check what must hold exactly: the optimizer legs
+    and the adaptive join agree, the streaming knees exist and conserve
+    records, and every serving tenant conserves its requests and some
+    complete work.  CI runs this bench at scale 0.5, where the reduced
+    scale floors are the live ones.
     """
     summary = payload["summary"]
-    fusion = summary["fusion_speedup"]
-    assert fusion >= 1.2, f"fusion speedup regressed: {fusion:.2f}x < 1.2x"
-    sql = summary["sql_speedup"]
-    floor = 1.5 if payload["scale"] >= 1.0 else 1.1
-    assert sql >= floor, f"SQL speedup regressed: {sql:.2f}x < {floor}x"
-    join = summary["join_speedup"]
-    join_floor = 3.0 if payload["scale"] >= 1.0 else 1.2
-    assert join >= join_floor, \
-        f"join speedup regressed: {join:.2f}x < {join_floor}x"
+    for line in check_guards(summary, payload["scale"]):
+        print(f"guard {line}")
     assert summary["join_adaptive_consistent"], \
         "adaptive execution changed the join result"
-    obs = summary["obs_enabled_overhead"]
-    assert obs < 0.05, \
-        f"observability overhead bound {100 * obs:.1f}% >= 5%"
-    resil = summary["resilience_armed_overhead"]
-    assert resil < 0.05, \
-        f"armed-but-idle resilience overhead {100 * resil:.1f}% >= 5%"
-    integ = summary["integrity_checksum_overhead"]
-    assert integ < 0.05, \
-        f"checksummed data plane overhead {100 * integ:.1f}% >= 5%"
-    chaos = summary["chaos_worst_ratio"]
-    assert chaos < 1.25, \
-        f"empty chaos fault plan costs {chaos:.2f}x (budget 1.25x)"
-    pool = payload.get("pool_backend")
-    if pool is not None:
-        if pool["insufficient_cores"]:
-            assert summary["pool_speedup"] is None
-            print(f"pool guard SKIPPED: {pool['cpu_count']} cores < 4 "
-                  f"(measured {pool['measured_speedup']:.2f}x, "
-                  f"informational only)")
-        elif (pool["workers"] >= 4 and pool["cpu_count"] >= 4
-                and payload["scale"] >= 0.25):
-            speedup = summary["pool_speedup"]
-            pool_floor = 2.0 if payload["scale"] >= 1.0 else 1.3
-            assert speedup >= pool_floor, (
-                f"pool backend speedup regressed: {speedup:.2f}x "
-                f"< {pool_floor}x at {pool['workers']} workers "
-                f"({pool['cpu_count']} cores)")
-    windowed = summary["windowed_speedup"]
-    win_floor = 5.0 if payload["scale"] >= 1.0 else 1.5
-    assert windowed >= win_floor, (
-        f"windowed aggregation speedup regressed: {windowed:.2f}x "
-        f"< {win_floor}x")
     assert payload["workloads"]["windowed_aggregation"]["identical"], \
         "vectorized windowed aggregation diverged from the scalar oracle"
     streaming = payload["sustained_throughput"]
@@ -160,11 +77,6 @@ def enforce_guards(payload: dict) -> None:
                 continue
             assert res["conserved"], \
                 f"{scenario}/{leg}: record conservation violated"
-    uo = streaming["scenarios"]["uniform"]["overload"]
-    assert uo["on"]["pipeline_p99"] * 2.0 <= uo["off"]["pipeline_p99"], (
-        "backpressure no longer bounds the pipeline interior: "
-        f"on {uo['on']['pipeline_p99']:.2f}s vs "
-        f"off {uo['off']['pipeline_p99']:.2f}s")
     serving = payload["multi_tenant_serving"]
     for mix, sec in serving["mixes"].items():
         assert sec["conservation_ok"], f"{mix}: fleet conservation violated"
@@ -177,18 +89,11 @@ def enforce_guards(payload: dict) -> None:
                 f"{t['failed']} (inflight {t['inflight']})")
         assert any(t["completed"] > 0 for t in sec["tenants"].values()), \
             f"{mix}: no tenant completed any work"
-    balanced_jain = serving["mixes"]["balanced"]["jain_fairness"]
-    assert balanced_jain >= 0.9, (
-        f"identical tenants no longer treated fairly: "
-        f"Jain {balanced_jain:.3f} < 0.9")
     chaos = serving["chaos_sweep"]
     assert chaos["all_conserved"], (
         "chaos sweep broke per-tenant conservation: "
         + ", ".join(s for s, r in chaos["runs"].items()
                     if not r["conserved"]))
-    assert chaos["graceful"], (
-        f"chaos p99 diverged: {chaos['max_p99_ratio_vs_clean']:.1f}x "
-        f"fault-free (bound 10x)")
 
 
 def test_p0(benchmark):
@@ -201,11 +106,10 @@ def test_p0(benchmark):
                                          "narrow_chain",
                                          "windowed_aggregation"}
     assert summary["wordcount_sim_events"] > 0
-    assert payload["obs_overhead"]["traced_spans"] > 0
-    assert payload["resilience_overhead"]["records"] > 0
-    assert payload["integrity_overhead"]["spill_records"] > 0
-    assert set(payload["chaos_overhead"]["workloads"]) == \
-        {"wordcount", "stream", "microbatch"}
+    assert set(payload["integrity_overhead"]) == \
+        {"wordcount", "spill", "integrity_checksum_overhead"}
+    assert set(payload["chaos_overhead"]) == \
+        {"wordcount", "stream", "microbatch", "chaos_worst_ratio"}
     # pool section present, legs agreed at every worker count
     pool = payload["pool_backend"]
     assert pool["workers"] == 4 and set(pool["sweep"]) == {"1", "2", "4"}
@@ -240,25 +144,6 @@ if __name__ == "__main__":
     ap.add_argument("--workers", type=int, default=4,
                     help="top of the pool worker sweep (default 4)")
     opts = ap.parse_args()
-    payload = run_p0(scale=opts.scale, profile=opts.profile,
-                     backend=opts.backend, workers=opts.workers)
-    enforce_guards(payload)
-    pool_speedup = payload["summary"]["pool_speedup"]
-    chaos = payload["multi_tenant_serving"]["chaos_sweep"]
-    print("serving guards OK: balanced Jain {:.3f}, chaos conserved on "
-          "{} seeds, worst p99 {:.1f}x fault-free".format(
-              payload["multi_tenant_serving"]["mixes"]["balanced"]
-              ["jain_fairness"],
-              len(chaos["runs"]), chaos["max_p99_ratio_vs_clean"]))
-    print("guards OK: fusion {:.2f}x, sql {:.2f}x, join {:.2f}x, "
-          "windowed {:.2f}x, pool {}, obs overhead bound {:+.1f}%, "
-          "idle-resilience overhead {:+.1f}%, "
-          "integrity overhead {:+.1f}%".format(
-              payload["summary"]["fusion_speedup"],
-              payload["summary"]["sql_speedup"],
-              payload["summary"]["join_speedup"],
-              payload["summary"]["windowed_speedup"],
-              f"{pool_speedup:.2f}x" if pool_speedup else "skipped",
-              100 * payload["summary"]["obs_enabled_overhead"],
-              100 * payload["summary"]["resilience_armed_overhead"],
-              100 * payload["summary"]["integrity_checksum_overhead"]))
+    enforce_guards(run_p0(scale=opts.scale, profile=opts.profile,
+                          backend=opts.backend, workers=opts.workers))
+    print("guards OK")

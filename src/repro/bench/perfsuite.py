@@ -22,10 +22,12 @@ Two single-leg measurements per simulated-cluster workload:
 
 Neither has an in-tree baseline leg: the cross-commit end-to-end record
 is the ``perfbench/`` benchmark.  Every A/B that remains — the execution
-optimizers against their reference paths and the <5% overhead guards —
+optimizers against their reference paths and the overhead A/Bs —
 runs through one loop, :func:`interleaved_ab` (legs rotated each rep, a
 GC collection before each timed run, every leg's result digest equal to
-the first), so each ratio is a pure execution-efficiency measurement.
+the first), so each ratio is a pure execution-efficiency measurement,
+and every guarded ratio is a :func:`median_ratio`.  Every bound the
+report is held to is one row of :data:`GUARDS`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ import json
 import os
 import random
 import statistics
+import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import (Any, Callable, ContextManager, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..cluster import make_cluster
 from ..common.units import Gbit_per_s
@@ -57,7 +62,8 @@ from ..dataflow.mp import default_start_method
 from ..dataflow.plan import ShuffleDependency
 from ..graph.generators import erdos_renyi
 from ..graph.dataflow_algos import pagerank_dataflow_plan
-from ..resilience import AdmissionConfig
+from ..resilience import (AdmissionConfig, HedgePolicy, ResiliencePolicies,
+                          RetryPolicy)
 from ..simcore import Simulator
 from ..streaming.backpressure import PipelineConfig, run_event_pipeline
 from ..streaming.events import (
@@ -70,7 +76,8 @@ from ..workloads import event_stream, teragen, zipf_text
 from .harness import bench_metadata
 
 __all__ = ["BASKET", "HEADLINE", "POOL_HEADLINE", "POOL_SWEEP",
-           "STREAM_SCENARIOS", "SERVE_MIXES", "SCHEMA_VERSION", "run_suite",
+           "STREAM_SCENARIOS", "SERVE_MIXES", "SCHEMA_VERSION", "GUARDS",
+           "Guard", "check_guards", "pool_summary", "run_suite",
            "write_report", "measure_shuffle_write", "measure_end_to_end",
            "measure_sql_analytics", "measure_sql_join", "measure_narrow_chain",
            "measure_pool_backend", "measure_windowed_aggregation",
@@ -116,7 +123,18 @@ __all__ = ["BASKET", "HEADLINE", "POOL_HEADLINE", "POOL_SWEEP",
 #: v13 adds ``chaos_overhead`` (an empty fault plan attached vs bare,
 #: per workload, as a median of per-rep ratios) and the summary's
 #: ``chaos_worst_ratio``.
-SCHEMA_VERSION = 13
+#:
+#: v14 makes every guarded ratio a median of per-rep ratios and gives
+#: every A/B one shape: ``<leg>_seconds`` (best of reps) per leg, then
+#: ``speedup`` (the optimizer A/Bs, the pool) or, in the four overhead
+#: sections, one entry per A/B with ``<leg>_ratio`` per non-base leg and
+#: the guarded reading under its :data:`GUARDS` key.  The chaos wordcount
+#: leg runs the basket wordcount job.  The A/Bs' ``records_per_sec``,
+#: the windowed ``scalar`` alias, ``traced_spans`` and the serving
+#: ``graceful`` verdict go; the summary gains ``backpressure_tightening``,
+#: ``serving_balanced_jain`` and ``serving_chaos_p99_ratio`` (the inputs
+#: of the streaming and serving bounds) and loses ``serving_chaos_graceful``.
+SCHEMA_VERSION = 14
 
 #: The fixed workload basket, in reporting order.  The first four are
 #: the simulated-cluster jobs; ``sql_analytics``, ``sql_join`` and
@@ -143,6 +161,99 @@ _CHECK_INTERVAL = 0.1
 
 #: Cost model for the shuffle-write runs (defaults, as the executors use).
 _WRITE_COST = CostModel()
+
+
+# ---------------------------------------------------------------------------
+# the guard table: every bound the report is held to, stated once
+# ---------------------------------------------------------------------------
+
+class Guard(NamedTuple):
+    """A bound on one ``summary`` value of the report.
+
+    A speedup must reach ``bound`` (``smoke`` below scale 1.0, where
+    fixed per-job costs dominate); a ``ceiling`` value, an overhead, must
+    stay under it.  ``skip(summary, scale)`` names why the bound does not
+    apply to a run, or returns None.
+    """
+
+    key: str
+    bound: float
+    smoke: Optional[float] = None
+    ceiling: bool = False
+    skip: Optional[Callable[[Dict[str, Any], float], Optional[str]]] = None
+
+    def limit(self, scale: float) -> float:
+        """The bound that applies at ``scale``."""
+        return self.bound if scale >= 1.0 or self.smoke is None \
+            else self.smoke
+
+    def check(self, summary: Dict[str, Any], scale: float) -> str:
+        """One line stating the reading against the bound; raises
+        ``AssertionError`` naming the key when the reading is past it."""
+        reason = self.skip(summary, scale) if self.skip else None
+        if reason:
+            return f"{self.key}: skipped, {reason}"
+        value, limit = summary[self.key], self.limit(scale)
+        ok = value < limit if self.ceiling else value >= limit
+        line = (f"{self.key} {value:.4g} "
+                f"{'<' if self.ceiling else '>='} {limit:g}")
+        if not ok:
+            raise AssertionError(f"guard failed: {line} does not hold")
+        return line
+
+
+def _pool_skip(summary: Dict[str, Any], scale: float) -> Optional[str]:
+    """The pool floor needs >= 4 cores (fewer cannot show a win: the
+    workers time-slice the same CPUs), a 4-worker sweep, and jobs long
+    enough (scale >= 0.25) that dispatch overhead does not dominate."""
+    if summary["pool_workers"] is None:
+        return "the pool sweep did not run"
+    if summary["pool_insufficient_cores"]:
+        return "fewer than 4 cores"
+    if summary["pool_workers"] < 4 or scale < 0.25:
+        return "needs a 4-worker sweep at scale >= 0.25"
+    return None
+
+
+#: What a disabled, idle or empty feature may cost end to end.
+_OVERHEAD_BOUND = 0.05
+
+#: Every bound, keyed by the ``summary`` value it holds.  Reduced scales
+#: (CI runs 0.5) get the ``smoke`` floors.  The overhead A/Bs always run
+#: at scale >= 1.0 and retry a trial while it reads past its bound (see
+#: :func:`_measure_overhead`).
+GUARDS: Dict[str, Guard] = {g.key: g for g in (
+    Guard("fusion_speedup", 1.2),
+    Guard("sql_speedup", 1.5, smoke=1.1),
+    Guard("join_speedup", 3.0, smoke=1.2),
+    Guard("windowed_speedup", 5.0, smoke=1.5),
+    Guard("pool_speedup", 2.0, smoke=1.3, skip=_pool_skip),
+    Guard("obs_enabled_overhead", _OVERHEAD_BOUND, ceiling=True),
+    Guard("resilience_armed_overhead", _OVERHEAD_BOUND, ceiling=True),
+    Guard("integrity_checksum_overhead", _OVERHEAD_BOUND, ceiling=True),
+    Guard("chaos_worst_ratio", 1.25, ceiling=True),
+    # off/on pipeline p99 on the uniform overload leg: backpressure
+    # keeps the pipeline interior bounded
+    Guard("backpressure_tightening", 2.0),
+    # statistically identical tenants get equal weighted goodput
+    Guard("serving_balanced_jain", 0.9),
+    # worst faulted p99 over fault-free: graceful, not divergent
+    Guard("serving_chaos_p99_ratio", 10.0, ceiling=True),
+)}
+
+
+def check_guards(summary: Dict[str, Any], scale: float) -> List[str]:
+    """Check every :data:`GUARDS` row; returns one line per row, or
+    raises one ``AssertionError`` naming every row past its bound."""
+    lines, failed = [], []
+    for guard in GUARDS.values():
+        try:
+            lines.append(guard.check(summary, scale))
+        except AssertionError as err:
+            failed.append(str(err))
+    if failed:
+        raise AssertionError("; ".join(failed))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +339,16 @@ def best_trial(trial: Callable[[], Dict[str, Any]], key: str,
     return best
 
 
-def _speedup_report(records: int, times: Dict[str, List[float]],
-                    base: str = "baseline", cur: str = "current",
-                    secs_key: str = "wall_seconds") -> Dict[str, Any]:
-    """Best-of-reps seconds and rate per leg, plus ``base``/``cur``."""
-    best = {leg: min(ts) for leg, ts in times.items()}
-    return {
-        "records": records,
-        **{leg: {secs_key: secs, "records_per_sec": records / secs}
-           for leg, secs in best.items()},
-        "speedup": best[base] / best[cur],
-    }
+def _seconds(times: Dict[str, List[float]]) -> Dict[str, float]:
+    """Best-of-reps seconds per leg, as ``<leg>_seconds``."""
+    return {f"{leg}_seconds": min(ts) for leg, ts in times.items()}
+
+
+def _speedup(times: Dict[str, List[float]], base: str = "baseline",
+             cur: str = "current") -> Dict[str, Any]:
+    """:func:`_seconds`, plus ``speedup``: the :func:`median_ratio` of
+    ``base`` over ``cur``."""
+    return {**_seconds(times), "speedup": median_ratio(times, base, cur)}
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +566,7 @@ def measure_sql_analytics(scale: float = 1.0,
 
     Both legs run the identical optimized logical plan through the local
     executor on a fresh context per run; results must match row-for-row
-    (repr equality).  Reported as best-of-``reps``, legs interleaved.
+    (repr equality).  Legs interleaved, ``speedup`` their median ratio.
     """
     from ..sql import DataFrame
     rows = _sql_rows(scale)
@@ -467,8 +577,8 @@ def measure_sql_analytics(scale: float = 1.0,
         q = _sql_query(DataFrame.from_rows(ctx, rows))
         return q.collect, _reprs
 
-    return _speedup_report(len(rows),
-                           interleaved_ab(("baseline", "current"), run, reps))
+    return {"records": len(rows),
+            **_speedup(interleaved_ab(("baseline", "current"), run, reps))}
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +613,11 @@ def measure_sql_join(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
     """A/B the vectorized hash join against the row-interpreter join.
 
     Both legs run the identical optimized logical plan (adaptive
-    execution off) and must agree row-for-row; best-of-``reps``, legs
-    interleaved.  A third, unguarded leg re-runs the columnar plan with
-    adaptive execution ON and asserts the result *set* is unchanged —
-    the "AQE never changes results" acceptance check, measured at bench
-    scale on every run.
+    execution off) and must agree row-for-row; legs interleaved,
+    ``speedup`` their median ratio.  A third, unguarded leg re-runs the
+    columnar plan with adaptive execution ON and asserts the result *set*
+    is unchanged — the "AQE never changes results" acceptance check,
+    measured at bench scale on every run.
     """
     from ..sql import AdaptiveConfig
     fact, dim = _join_tables(scale)
@@ -535,7 +645,8 @@ def measure_sql_join(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
         raise AssertionError("adaptive execution changed the join result")
     report = q.last_adaptive_report
     return {
-        **_speedup_report(len(fact), times),
+        "records": len(fact),
+        **_speedup(times),
         "dim_records": len(dim),
         "adaptive": {
             "wall_seconds": adaptive_secs,
@@ -576,8 +687,8 @@ def measure_narrow_chain(scale: float = 1.0, reps: int = 3) -> Dict[str, Any]:
             fusion=(leg == "current")))
         return _chain_dataset(ctx, scale).collect, pickle.dumps
 
-    times = interleaved_ab(("baseline", "current"), run, reps)
-    return _speedup_report(int(250_000 * scale), times)
+    return {"records": int(250_000 * scale),
+            **_speedup(interleaved_ab(("baseline", "current"), run, reps))}
 
 
 # ---------------------------------------------------------------------------
@@ -664,18 +775,17 @@ def measure_pool_backend(scale: float = 1.0,
 
     For each worker count in ``sweep``, runs the CPU-bound headline
     basket (:data:`POOL_HEADLINE`) on both backends, legs interleaved
-    rep by rep, best-of-``reps`` per leg.  The pool is spawned and
-    warmed (one tiny job) *outside* the timed region — the measurement
-    is the steady state a long-lived context sees, which is what the
-    warm-pool design buys.  At every worker count the pool leg must
+    rep by rep.  The pool is spawned and warmed (one tiny job)
+    *outside* the timed region — the measurement is the steady state a
+    long-lived context sees, which is what the warm-pool design buys.  At every worker count the pool leg must
     produce the in-process result (order included; checked via the
     repr-stable checksum, since pickle bytes legitimately differ in
     object sharing after a worker round-trip).
 
-    The ``speedup`` field is the combined basket ratio at the top of
-    the sweep; :func:`enforce_guards` in ``bench_p0_wallclock.py``
-    holds it to >= 2x at 4 workers when >= 4 cores are present (1.3x
-    at reduced scales >= 0.25).
+    Each ``speedup`` is a median of per-rep in-process/pool ratios; a
+    worker count's combined one sums the basket within each rep.  The
+    headline ``speedup`` is the combined ratio at the top of the sweep,
+    held to the ``pool_speedup`` row of :data:`GUARDS`.
 
     On runners with fewer than 4 cores the pool *cannot* beat in-process
     execution (the workers time-slice one CPU and pay dispatch overhead
@@ -704,23 +814,19 @@ def measure_pool_backend(scale: float = 1.0,
             warm.close()
 
             per: Dict[str, Any] = {}
+            basket = {"inprocess": [0.0] * reps, "pool": [0.0] * reps}
             for name, (_build, plan) in _POOL_JOBS.items():
                 times = interleaved_ab(
                     ("inprocess", "pool"),
                     lambda leg: _pool_leg(
                         plan, data[name], backend if leg == "pool" else None),
                     reps)
-                per[name] = _speedup_report(records[name], times,
-                                            base="inprocess", cur="pool",
-                                            secs_key="seconds")
-            tot_in = sum(per[n]["inprocess"]["seconds"] for n in per)
-            tot_pool = sum(per[n]["pool"]["seconds"] for n in per)
+                per[name] = {"records": records[name],
+                             **_speedup(times, "inprocess", "pool")}
+                for leg, ts in times.items():
+                    basket[leg] = [b + t for b, t in zip(basket[leg], ts)]
             out_sweep[str(workers)] = {
-                "workloads": per,
-                "inprocess_seconds": tot_in,
-                "pool_seconds": tot_pool,
-                "speedup": tot_in / tot_pool,
-            }
+                "workloads": per, **_speedup(basket, "inprocess", "pool")}
         finally:
             backend.shutdown()
 
@@ -757,11 +863,10 @@ def measure_windowed_aggregation(scale: float = 1.0,
 
     Feeds the identical out-of-order event stream, in the identical
     micro-batches, through the scalar :class:`WatermarkAggregator` fold
-    and the vectorized batch path, interleaved rep by rep
-    (best-of-``reps`` per leg).  Every rep asserts the two emission logs
+    and the vectorized batch path, interleaved rep by rep (``speedup``
+    is their median ratio).  Every rep asserts the two emission logs
     and final flushes are **byte-identical** (pickle) — the speedup is
-    meaningless unless the fast path is exact.  ``enforce_guards`` holds
-    the speedup to >= 5x at the default scale.
+    meaningless unless the fast path is exact.
     """
     import pickle
 
@@ -793,19 +898,16 @@ def measure_windowed_aggregation(scale: float = 1.0,
 
         return job, lambda out: pickle.dumps(out, 4)
 
-    report = _speedup_report(
-        n, interleaved_ab(("baseline", "current"), run, reps),
-        secs_key="seconds")
-    report["current"].update(
-        fast_batches=last["current"].fast_batches,
-        fallback_batches=last["current"].fallback_batches)
+    times = interleaved_ab(("baseline", "current"), run, reps)
     return {
         "scale": scale,
         "batch_records": batch_records,
         "window": "tumbling(1.0)",
         "agg": "sum",
-        "scalar": dict(report["baseline"]),
-        **report,
+        "records": n,
+        **_speedup(times),
+        "fast_batches": last["current"].fast_batches,
+        "fallback_batches": last["current"].fallback_batches,
         "identical": True,
     }
 
@@ -959,8 +1061,9 @@ def measure_multi_tenant_serving(scale: float = 1.0,
     The chaos leg re-runs the bursty mix under renewal fault plans
     (task crashes, stragglers, node failures, load bursts), one per
     seed; every seed must hold conservation exactly, and the worst
-    faulted p99 must stay within a constant factor of fault-free
-    (graceful degradation, no unbounded divergence).
+    faulted p99 over fault-free (``max_p99_ratio_vs_clean``) is held to
+    the ``serving_chaos_p99_ratio`` row of :data:`GUARDS` (graceful
+    degradation, no unbounded divergence).
     """
     from ..chaos.plan import FaultPlan
     from ..serve import ServeConfig, run_gateway
@@ -1024,14 +1127,13 @@ def measure_multi_tenant_serving(scale: float = 1.0,
             "clean_worst_p99": clean.worst_p99(),
             "all_conserved": all_conserved,
             "max_p99_ratio_vs_clean": worst_ratio,
-            "graceful": worst_ratio <= 10.0,
             "runs": chaos_runs,
         },
     }
 
 
 # ---------------------------------------------------------------------------
-# observability overhead: the off-by-default guarantee, measured
+# overhead A/Bs: what a disabled, idle or empty feature costs
 # ---------------------------------------------------------------------------
 
 class _NoopObserver:
@@ -1041,198 +1143,76 @@ class _NoopObserver:
         pass
 
 
-def measure_obs_overhead(scale: float = 1.0, reps: int = 15,
-                         name: str = "wordcount",
-                         attempts: int = 3,
-                         guard: float = 0.05) -> Dict[str, Any]:
-    """Measure what observability costs when it is off (and when on).
-
-    Three interleaved legs of the same end-to-end job:
-
-    * ``off`` — the default: no tracer, no registry, no observer.
-    * ``traced`` — tracer + metrics registry installed.  The traced path
-      performs a strict superset of the disabled path's instrumentation
-      work (the same module-global loads and ``None`` checks, plus all
-      the actual recording), so ``traced/off`` **upper-bounds** the
-      disabled overhead — this ratio is what the <5% guard enforces.
-    * ``noop`` — a do-nothing kernel observer attached, one Python call
-      per DES event dispatch.  Informational: nothing attaches a
-      per-event observer unless kernel-event tracing or profiling is
-      explicitly requested, so this is the opt-in floor, not a cost the
-      default path ever pays.
-
-    All legs must compute the identical result.  Legs run through
-    :func:`interleaved_ab`; the reported overheads are the
-    :func:`median_ratio` of the per-rep ratios, and :func:`best_trial`
-    retries (up to ``attempts`` trials) while the guarded ratio reads
-    above ``guard``.
-    """
-    return best_trial(lambda: _measure_obs_overhead_once(scale, reps, name),
-                      "enabled_overhead", attempts, guard)
+@contextmanager
+def _noop_observer(sim: Simulator, engine: SimEngine):
+    """One Python call per DES event dispatch, recording nothing."""
+    sim.attach_observer(_NoopObserver())
+    yield
 
 
-def _measure_obs_overhead_once(scale: float, reps: int,
-                               name: str) -> Dict[str, Any]:
-    """One trial of the off/noop/traced A/B (see measure_obs_overhead)."""
+@contextmanager
+def _tracing(sim: Simulator, engine: SimEngine):
+    """A tracer and a metrics registry installed for the job; the trace
+    it leaves must be non-empty and valid."""
     from ..obs import metrics as obs_metrics
     from ..obs import trace as obs_trace
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.trace import Tracer
 
-    n_records = 0
-    tracers: List[Tracer] = []
-
-    def run(leg: str):
-        nonlocal n_records
-        sim, ctx, engine = _fresh()
-        ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
-        if leg == "noop":
-            sim.attach_observer(_NoopObserver())
-        elif leg == "traced":
-            tracers.append(Tracer())
-            obs_trace.set_tracer(tracers[-1])
-            obs_metrics.set_registry(MetricsRegistry())
-
-        def job():
-            try:
-                return sim.run_until_done(engine.collect(ds))
-            finally:
-                if leg == "traced":
-                    obs_trace.set_tracer(None)
-                    obs_metrics.set_registry(None)
-
-        return job, lambda res: digest(res.value)
-
-    times = interleaved_ab(("off", "noop", "traced"), run, reps)
-    for tracer in tracers:
-        problems = tracer.validate()
-        if problems:
-            raise AssertionError(
-                f"traced leg produced an invalid trace: {problems}")
-    return {
-        "workload": name,
-        "records": n_records,
-        "off_seconds": min(times["off"]),
-        "noop_seconds": min(times["noop"]),
-        "traced_seconds": min(times["traced"]),
-        "traced_spans": len(tracers[-1].spans),
-        # the guarded number: disabled overhead <= enabled overhead
-        "enabled_overhead": median_ratio(times, "traced", "off") - 1.0,
-        # informational: one observer call per kernel dispatch (opt-in)
-        "kernel_observer_overhead":
-            median_ratio(times, "noop", "off") - 1.0,
-    }
+    tracer = obs_trace.Tracer()
+    obs_trace.set_tracer(tracer)
+    obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    try:
+        yield
+    finally:
+        obs_trace.set_tracer(None)
+        obs_metrics.set_registry(None)
+    problems = tracer.validate() or ([] if tracer.spans else ["no spans"])
+    if problems:
+        raise AssertionError(
+            f"traced leg produced an invalid trace: {problems}")
 
 
-def measure_resilience_overhead(scale: float = 1.0, reps: int = 15,
-                                name: str = "wordcount",
-                                attempts: int = 3,
-                                guard: float = 0.05) -> Dict[str, Any]:
-    """Measure what armed-but-idle resilience policies cost.
+@contextmanager
+def _empty_fault_plan(sim: Simulator, engine: SimEngine):
+    """The cluster and engine chaos adapters started on a plan with no
+    events."""
+    from ..chaos import ClusterChaos, EngineChaos, FaultPlan
 
-    Two interleaved legs of the same end-to-end job:
-
-    * ``off`` — ``EngineConfig.resilience=None``: the default policies
-      (each job's retry session runs ``DEFAULT_TASK_RETRY``; no hedge,
-      no deadline).
-    * ``armed`` — a full :class:`ResiliencePolicies` stack (retry session
-      with backoff + budget, hedging at 3x the tail quantile, a deadline
-      that never fires).  On this healthy homogeneous run no retry, no
-      deadline and no budget can trigger, so the measured difference is
-      the pure bookkeeping cost of the extra policies: the deadline
-      watchdog and the hedge-armed poll timer.
-
-    Both legs must compute the identical result.  The measurement and
-    noise handling mirror :func:`measure_obs_overhead`.
-    """
-    from ..resilience import HedgePolicy, ResiliencePolicies, RetryPolicy
-
-    policies = ResiliencePolicies(
-        retry=RetryPolicy(max_attempts=50, budget=10_000, base_delay=0.01,
-                          seed=0),
-        hedge=HedgePolicy(multiplier=3.0),
-        deadline_timeout=1e9)
-
-    def trial() -> Dict[str, Any]:
-        times, n_records = _job_ab(
-            name, scale, reps,
-            {"off": {}, "armed": {"resilience": policies}})
-        return {
-            "workload": name,
-            "records": n_records,
-            "off_seconds": min(times["off"]),
-            "armed_seconds": min(times["armed"]),
-            # the guarded number: armed-but-idle policies vs no policies
-            "armed_overhead": median_ratio(times, "armed", "off") - 1.0,
-        }
-
-    return best_trial(trial, "armed_overhead", attempts, guard)
+    empty = FaultPlan.scripted([])
+    ClusterChaos(engine.cluster, empty).start()
+    EngineChaos(engine, empty).start()
+    yield
 
 
-def _job_ab(name: str, scale: float, reps: int,
-            configs: Dict[str, Dict[str, Any]],
-            ) -> Tuple[Dict[str, List[float]], int]:
-    """Interleave one basket job under per-leg :func:`_fresh` arguments
-    (``options`` and ``EngineConfig`` overrides); returns (per-leg
-    seconds, records per job)."""
-    n_records = 0
+def _engine_ab(**legs: Dict[str, Any]):
+    """An A/B of the basket wordcount job.  Each leg gives its
+    :func:`_fresh` arguments, plus an optional ``arm(sim, engine)``
+    context manager that the timed run executes inside."""
+    @contextmanager
+    def ab(scale: float):
+        def run(leg: str):
+            config = dict(legs[leg])
+            arm = config.pop("arm", lambda sim, engine: nullcontext())
+            sim, ctx, engine = _fresh(**config)
+            ds, _records, digest = _job_wordcount(ctx, scale)
 
-    def run(leg: str):
-        nonlocal n_records
-        sim, ctx, engine = _fresh(**configs[leg])
-        ds, n_records, digest = _JOB_BUILDERS[name](ctx, scale)
-        return ((lambda: sim.run_until_done(engine.collect(ds))),
-                lambda res: digest(res.value))
-
-    return interleaved_ab(tuple(configs), run, reps), n_records
-
-
-def measure_integrity_overhead(scale: float = 1.0, reps: int = 15,
-                               name: str = "wordcount",
-                               attempts: int = 3,
-                               guard: float = 0.05) -> Dict[str, Any]:
-    """Measure what the checksummed data plane costs when nothing rots.
-
-    Two interleaved A/Bs of checksums on (the default) vs off:
-
-    * ``end_to_end`` — the same simulated job with
-      ``ExecOptions.checksums`` toggled: the on leg stores every
-      registered map-output bucket as a sealed pickle blob (pickle +
-      chunk CRC32) and verifies + unpickles it on fetch; the off leg
-      keeps the record lists and does neither.  This is the guarded
-      number — the data plane must cost < 5% on a clean run.
-    * ``spill`` — the process-pool spill path in isolation:
-      :func:`~repro.dataflow.shuffleio.write_bucket_file` +
-      :func:`~repro.dataflow.shuffleio.read_bucket_file` over a
-      realistic bucket set with and without seals
-      (informational; the seal rides the same buffer the pickler just
-      produced, so it is a small fraction of serialization cost).
-
-    Both legs must compute the identical result.  The measurement and
-    noise handling mirror :func:`measure_obs_overhead`.
-    """
-    return best_trial(
-        lambda: _measure_integrity_overhead_once(scale, reps, name),
-        "checksum_overhead", attempts, guard)
+            def job():
+                with arm(sim, engine):
+                    return sim.run_until_done(engine.collect(ds))
+            return job, lambda res: digest(res.value)
+        yield tuple(legs), run
+    return ab
 
 
-def _measure_integrity_overhead_once(scale: float, reps: int,
-                                     name: str) -> Dict[str, Any]:
-    """One trial of the checksums on/off A/B (see the public wrapper)."""
-    import tempfile
-
-    times, n_records = _job_ab(
-        name, scale, reps,
-        {"off": {"options": ExecOptions(checksums=False)},
-         "on": {"options": ExecOptions()}})
-
-    # spill leg: sealed bucket files written + fully read back
+@contextmanager
+def _spill_ab(scale: float):
+    """The process-pool spill path alone: sealed vs unsealed bucket
+    files, written and read back."""
     rng = random.Random(23)
     buckets = [[(f"k{rng.randrange(4000)}", rng.random())
                 for _ in range(int(2_000 * max(scale, 0.1)))]
                for _ in range(16)]
 
-    def spill(leg: str):
+    def run(leg: str):
         def write_and_read() -> List:
             offsets = shuffleio.write_bucket_file(path, buckets,
                                                   checksums=leg == "on")
@@ -1242,96 +1222,209 @@ def _measure_integrity_overhead_once(scale: float, reps: int,
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spill.buckets")
-        spill_times = interleaved_ab(("off", "on"), spill, reps)
-
-    return {
-        "workload": name,
-        "records": n_records,
-        "off_seconds": min(times["off"]),
-        "on_seconds": min(times["on"]),
-        # the guarded number: sealed + verified map outputs vs neither
-        "checksum_overhead": median_ratio(times, "on", "off") - 1.0,
-        "spill_records": sum(len(b) for b in buckets),
-        "spill_off_seconds": min(spill_times["off"]),
-        "spill_on_seconds": min(spill_times["on"]),
-        # informational: chunk CRC32s over the just-pickled buffer
-        "spill_checksum_overhead":
-            median_ratio(spill_times, "on", "off") - 1.0,
-    }
+        yield ("off", "on"), run
 
 
-def measure_chaos_overhead(scale: float = 1.0, reps: int = 15,
-                           attempts: int = 3,
-                           guard: float = 1.25) -> Dict[str, Any]:
+@contextmanager
+def _stream_ab(scale: float):
+    """The checkpointed stateful stream, bare vs with the empty plan's
+    operator crash times."""
+    from operator import add
+
+    from ..chaos import FaultPlan, operator_crash_times
+    from ..streaming.checkpoint import CheckpointConfig, run_stateful_stream
+
+    events = [(i * 0.5, i % 20, 1)
+              for i in range(max(500, int(20_000 * scale)))]
+
+    def run(leg: str):
+        crashes = (operator_crash_times(FaultPlan.scripted([]))
+                   if leg == "attached" else ())
+        return ((lambda: run_stateful_stream(
+                    events, add, lambda v: v, CheckpointConfig(interval=10.0),
+                    crash_times=crashes)),
+                lambda out: sorted(out.state.items()))
+    yield ("bare", "attached"), run
+
+
+@contextmanager
+def _microbatch_ab(scale: float):
+    """The micro-batch engine, bare vs its rate wrapped in the empty
+    plan's load bursts."""
+    from ..chaos import FaultPlan, burst_rate
+    from ..streaming.microbatch import MicroBatchConfig, run_microbatch
+
+    duration = max(20.0, 200.0 * scale)
+    config = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-5,
+                              parallelism=4)
+
+    def run(leg: str):
+        base = lambda t: 5000.0
+        rate = (burst_rate(base, FaultPlan.scripted([]))
+                if leg == "attached" else base)
+        return ((lambda: run_microbatch(rate, config, duration)),
+                lambda res: (res.processed_records, res.batch_times))
+    yield ("bare", "attached"), run
+
+
+class _Overhead(NamedTuple):
+    """One overhead A/B: the :data:`GUARDS` key of its reading, its
+    A/Bs (name -> ``ab(scale)``, a context manager yielding the legs,
+    base first, and the ``run`` that :func:`interleaved_ab` takes), and
+    how the reading follows from one trial's report."""
+
+    guard: str
+    abs: Dict[str, Callable[[float], ContextManager]]
+    reading: Callable[[Dict[str, Any]], float]
+
+
+#: Armed but idle on a healthy run: retry session with backoff and
+#: budget, hedging at 3x the tail quantile, a deadline that never fires.
+_IDLE_POLICIES = ResiliencePolicies(
+    retry=RetryPolicy(max_attempts=50, budget=10_000, base_delay=0.01,
+                      seed=0),
+    hedge=HedgePolicy(multiplier=3.0),
+    deadline_timeout=1e9)
+
+#: Interleaved reps per overhead A/B trial.
+_OVERHEAD_REPS = 15
+
+#: The overhead A/Bs, keyed by report section.
+_OVERHEADS: Dict[str, _Overhead] = {
+    "obs_overhead": _Overhead(
+        "obs_enabled_overhead",
+        {"wordcount": _engine_ab(off={}, noop={"arm": _noop_observer},
+                                 traced={"arm": _tracing})},
+        lambda r: r["wordcount"]["traced_ratio"] - 1.0),
+    "resilience_overhead": _Overhead(
+        "resilience_armed_overhead",
+        {"wordcount": _engine_ab(off={},
+                                 armed={"resilience": _IDLE_POLICIES})},
+        lambda r: r["wordcount"]["armed_ratio"] - 1.0),
+    "integrity_overhead": _Overhead(
+        "integrity_checksum_overhead",
+        {"wordcount": _engine_ab(
+            off={"options": ExecOptions(checksums=False)}, on={}),
+         "spill": _spill_ab},
+        lambda r: r["wordcount"]["on_ratio"] - 1.0),
+    "chaos_overhead": _Overhead(
+        "chaos_worst_ratio",
+        {"wordcount": _engine_ab(bare={}, attached={"arm": _empty_fault_plan}),
+         "stream": _stream_ab, "microbatch": _microbatch_ab},
+        lambda r: max(ab["attached_ratio"] for ab in r.values())),
+}
+
+
+def _measure_overhead(section: str, scale: float,
+                      reps: int) -> Dict[str, Any]:
+    """Run the :data:`_OVERHEADS` row ``section``.
+
+    One trial runs each A/B through :func:`interleaved_ab` and reports
+    ``<leg>_seconds`` per leg and, per non-base leg, ``<leg>_ratio``: its
+    :func:`median_ratio` over the base leg.  The row's reading goes under
+    its :data:`GUARDS` key, and :func:`best_trial` retries the trial, at
+    most 3 times, while the reading is not under that bound.
+    """
+    row = _OVERHEADS[section]
+
+    def trial() -> Dict[str, Any]:
+        report: Dict[str, Any] = {}
+        for name, ab in row.abs.items():
+            with ab(scale) as (legs, run):
+                times = interleaved_ab(legs, run, reps)
+            report[name] = {
+                **_seconds(times),
+                **{f"{leg}_ratio": median_ratio(times, leg, legs[0])
+                   for leg in legs[1:]}}
+        report[row.guard] = row.reading(report)
+        return report
+
+    return best_trial(trial, row.guard, 3, GUARDS[row.guard].limit(scale))
+
+
+def measure_obs_overhead(scale: float = 1.0,
+                         reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
+    """Measure what observability costs when it is off (and when on).
+
+    Three interleaved legs of the basket wordcount job:
+
+    * ``off`` — the default: no tracer, no registry, no observer.
+    * ``traced`` — tracer + metrics registry installed.  The traced path
+      performs a strict superset of the disabled path's instrumentation
+      work (the same module-global loads and ``None`` checks, plus all
+      the actual recording), so ``traced/off`` **upper-bounds** the
+      disabled overhead — this ratio is the guarded reading.
+    * ``noop`` — a do-nothing kernel observer attached, one Python call
+      per DES event dispatch.  Informational: nothing attaches a
+      per-event observer unless kernel-event tracing or profiling is
+      explicitly requested, so this is the opt-in floor, not a cost the
+      default path ever pays.
+
+    All legs must compute the identical result; see
+    :func:`_measure_overhead` for the report and the retry.
+    """
+    return _measure_overhead("obs_overhead", scale, reps)
+
+
+def measure_resilience_overhead(scale: float = 1.0,
+                                reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
+    """Measure what armed-but-idle resilience policies cost.
+
+    Two interleaved legs of the basket wordcount job:
+
+    * ``off`` — ``EngineConfig.resilience=None``: the default policies
+      (each job's retry session runs ``DEFAULT_TASK_RETRY``; no hedge,
+      no deadline).
+    * ``armed`` — a full :class:`ResiliencePolicies` stack
+      (``_IDLE_POLICIES``).  On this healthy homogeneous run no retry,
+      no deadline and no budget can trigger, so the measured difference
+      is the pure bookkeeping cost of the extra policies: the deadline
+      watchdog and the hedge-armed poll timer.
+
+    Both legs must compute the identical result; see
+    :func:`_measure_overhead` for the report and the retry.
+    """
+    return _measure_overhead("resilience_overhead", scale, reps)
+
+
+def measure_integrity_overhead(scale: float = 1.0,
+                               reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
+    """Measure what the checksummed data plane costs when nothing rots.
+
+    Two interleaved A/Bs of checksums on (the default) vs off:
+
+    * ``wordcount`` — the basket job with ``ExecOptions.checksums``
+      toggled: the on leg stores every registered map-output bucket as a
+      sealed pickle blob (pickle + chunk CRC32) and verifies + unpickles
+      it on fetch; the off leg keeps the record lists and does neither.
+      This is the guarded reading.
+    * ``spill`` — the process-pool spill path in isolation:
+      :func:`~repro.dataflow.shuffleio.write_bucket_file` +
+      :func:`~repro.dataflow.shuffleio.read_bucket_file` over a
+      realistic bucket set with and without seals
+      (informational; the seal rides the same buffer the pickler just
+      produced, so it is a small fraction of serialization cost).
+
+    Both legs must compute the identical result; see
+    :func:`_measure_overhead` for the report and the retry.
+    """
+    return _measure_overhead("integrity_overhead", scale, reps)
+
+
+def measure_chaos_overhead(scale: float = 1.0,
+                           reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
     """Measure what an attached but empty fault plan costs.
 
     The chaos adapters are built so that a plan with no events adds only
     a ``None`` check per dataflow task, an unwrapped rate function and no
-    scheduled process.  Three workloads — simulated wordcount, the
+    scheduled process.  Three workloads — the basket wordcount job, the
     checkpointed stateful stream and the micro-batch engine — each run
-    ``bare`` and ``attached`` (``FaultPlan.scripted([])``) through
-    :func:`interleaved_ab`, and both legs must compute the same result.
-    A workload's ``ratio`` is the :func:`median_ratio` attached/bare;
-    :func:`best_trial` retries while the worst of the three,
-    ``worst_ratio``, reads at or above ``guard``.
+    ``bare`` and ``attached`` (``FaultPlan.scripted([])``), and both legs
+    must compute the same result.  The guarded reading is the worst of
+    the three ``attached_ratio``s; see :func:`_measure_overhead` for the
+    report and the retry.
     """
-    return best_trial(lambda: _measure_chaos_overhead_once(scale, reps),
-                      "worst_ratio", attempts, guard)
-
-
-def _measure_chaos_overhead_once(scale: float, reps: int) -> Dict[str, Any]:
-    """One trial of the bare/attached A/B (see the public wrapper)."""
-    from operator import add
-
-    from ..chaos import (ClusterChaos, EngineChaos, FaultPlan, burst_rate,
-                         operator_crash_times)
-    from ..streaming.checkpoint import CheckpointConfig, run_stateful_stream
-    from ..streaming.microbatch import MicroBatchConfig, run_microbatch
-
-    empty = FaultPlan.scripted([])
-    words = [f"w{i % 50:02d}" for i in range(max(500, int(6000 * scale)))]
-    events = [(i * 0.5, i % 20, 1)
-              for i in range(max(500, int(20_000 * scale)))]
-    duration = max(20.0, 200.0 * scale)
-    mb_cfg = MicroBatchConfig(batch_interval=1.0, per_record_cost=1e-5,
-                              parallelism=4)
-
-    def wordcount(leg: str):
-        sim, ctx, engine = _fresh()
-        ds = (ctx.parallelize(words, 8).map(lambda w: (w, 1))
-              .reduce_by_key(add, 6))
-
-        def job():
-            if leg == "attached":
-                ClusterChaos(engine.cluster, empty).start()
-                EngineChaos(engine, empty).start()
-            return sim.run_until_done(engine.collect(ds))
-        return job, lambda res: sorted(res.value)
-
-    def stream(leg: str):
-        crashes = operator_crash_times(empty) if leg == "attached" else ()
-        return ((lambda: run_stateful_stream(
-                    events, add, lambda v: v, CheckpointConfig(interval=10.0),
-                    crash_times=crashes)),
-                lambda run: sorted(run.state.items()))
-
-    def microbatch(leg: str):
-        base = lambda t: 5000.0
-        rate = burst_rate(base, empty) if leg == "attached" else base
-        return ((lambda: run_microbatch(rate, mb_cfg, duration)),
-                lambda res: (res.processed_records, res.batch_times))
-
-    workloads: Dict[str, Any] = {}
-    for name, run in (("wordcount", wordcount), ("stream", stream),
-                      ("microbatch", microbatch)):
-        times = interleaved_ab(("bare", "attached"), run, reps)
-        workloads[name] = {
-            "bare_seconds": min(times["bare"]),
-            "attached_seconds": min(times["attached"]),
-            "ratio": median_ratio(times, "attached", "bare"),
-        }
-    return {"workloads": workloads,
-            "worst_ratio": max(w["ratio"] for w in workloads.values())}
+    return _measure_overhead("chaos_overhead", scale, reps)
 
 
 def profile_end_to_end(name: str = "wordcount",
@@ -1385,7 +1478,8 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
         for name in ("sql_analytics", "sql_join", "narrow_chain",
                      "windowed_aggregation"):
             w = workloads[name]
-            print(f"{name:>15}: {w['current']['records_per_sec']:>12,.0f} "
+            print(f"{name:>15}: "
+                  f"{w['records'] / w['current_seconds']:>12,.0f} "
                   f"rec/s  [{w['speedup']:.2f}x vs interpreter]")
     streaming = measure_sustained_throughput(scale)
     if verbose:
@@ -1404,30 +1498,22 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
         print(f"{'serving':>15}: {lines}  chaos "
               f"[conserved={sweep_s['all_conserved']} "
               f"p99x{sweep_s['max_p99_ratio_vs_clean']:.1f}]")
-    # clamp the overhead A/B to the full-scale workload: at smoke scales
+    # clamp the overhead A/Bs to the full-scale workload: at smoke scales
     # the job is short enough that scheduler/load noise alone is
-    # percent-level, which would make a 5% guard flaky — and fixed costs
-    # dominate, so full scale barely costs more wall time anyway
-    obs = measure_obs_overhead(max(scale, 1.0))
+    # percent-level, which would make the overhead bounds flaky — and
+    # fixed costs dominate, so full scale barely costs more wall time
+    overheads = {
+        section: _measure_overhead(section, max(scale, 1.0), _OVERHEAD_REPS)
+        for section in _OVERHEADS}
     if verbose:
-        print(f"{'obs_overhead':>15}: enabled "
-              f"{100 * obs['enabled_overhead']:+.1f}% "
-              f"({obs['traced_spans']} spans)  opt-in kernel observer "
-              f"{100 * obs['kernel_observer_overhead']:+.1f}%")
-    resil = measure_resilience_overhead(max(scale, 1.0))
-    if verbose:
-        print(f"{'resilience':>15}: armed-but-idle "
-              f"{100 * resil['armed_overhead']:+.1f}%")
-    integ = measure_integrity_overhead(max(scale, 1.0))
-    if verbose:
-        print(f"{'integrity':>15}: checksums on "
-              f"{100 * integ['checksum_overhead']:+.1f}% end-to-end, "
-              f"{100 * integ['spill_checksum_overhead']:+.1f}% spill")
-    chaos = measure_chaos_overhead(max(scale, 1.0))
-    if verbose:
-        ratios = "  ".join(f"{n} {w['ratio']:.3f}"
-                           for n, w in chaos["workloads"].items())
-        print(f"{'chaos':>15}: empty plan attached/bare {ratios}")
+        for section, report in overheads.items():
+            row = _OVERHEADS[section]
+            ratios = "  ".join(
+                f"{name}.{key} {value:.3f}" for name in row.abs
+                for key, value in report[name].items()
+                if key.endswith("_ratio"))
+            print(f"{section:>15}: {row.guard} {report[row.guard]:.3f}  "
+                  f"{ratios}")
     pool = None
     if pool_workers:
         sweep = tuple(w for w in POOL_SWEEP if w < pool_workers)
@@ -1447,15 +1533,12 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
         "scale": scale,
         "meta": bench_metadata(),
         "workloads": workloads,
-        "obs_overhead": obs,
-        "resilience_overhead": resil,
-        "integrity_overhead": integ,
-        "chaos_overhead": chaos,
+        **overheads,
         "pool_backend": pool,
         "sustained_throughput": streaming,
         "multi_tenant_serving": serving,
-        "summary": _summarize(workloads, obs, resil, pool, streaming,
-                              serving, integ, chaos),
+        "summary": _summarize(workloads, overheads, pool, streaming,
+                              serving),
     }
     if verbose:
         s = payload["summary"]
@@ -1465,15 +1548,22 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
     return payload
 
 
-def _summarize(workloads: Dict[str, Any],
-               obs: Optional[Dict[str, Any]] = None,
-               resil: Optional[Dict[str, Any]] = None,
-               pool: Optional[Dict[str, Any]] = None,
-               streaming: Optional[Dict[str, Any]] = None,
-               serving: Optional[Dict[str, Any]] = None,
-               integ: Optional[Dict[str, Any]] = None,
-               chaos: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+def pool_summary(pool: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The summary's pool fields from a :func:`measure_pool_backend`
+    report; all None when the sweep did not run."""
+    if pool is None:
+        return dict.fromkeys(("pool_speedup", "pool_workers",
+                              "pool_insufficient_cores"))
+    return {"pool_speedup": pool["speedup"], "pool_workers": pool["workers"],
+            "pool_insufficient_cores": pool["insufficient_cores"]}
+
+
+def _summarize(workloads: Dict[str, Any], overheads: Dict[str, Any],
+               pool: Optional[Dict[str, Any]], streaming: Dict[str, Any],
+               serving: Dict[str, Any]) -> Dict[str, Any]:
     writes = [workloads[n]["shuffle_write"] for n in HEADLINE]
+    overload = streaming["scenarios"]["uniform"]["overload"]
+    mixes = serving["mixes"]
     return {
         "headline_workloads": list(HEADLINE),
         "records_per_sec_current": (sum(w["records"] for w in writes)
@@ -1485,36 +1575,28 @@ def _summarize(workloads: Dict[str, Any],
         "join_adaptive_consistent":
             workloads["sql_join"]["adaptive"]["consistent"],
         "fusion_speedup": workloads["narrow_chain"]["speedup"],
-        "obs_enabled_overhead": obs["enabled_overhead"] if obs else None,
+        "windowed_speedup": workloads["windowed_aggregation"]["speedup"],
+        **{row.guard: overheads[section][row.guard]
+           for section, row in _OVERHEADS.items()},
         "obs_kernel_observer_overhead":
-            obs["kernel_observer_overhead"] if obs else None,
-        "resilience_armed_overhead":
-            resil["armed_overhead"] if resil else None,
-        "integrity_checksum_overhead":
-            integ["checksum_overhead"] if integ else None,
+            overheads["obs_overhead"]["wordcount"]["noop_ratio"] - 1.0,
         "integrity_spill_overhead":
-            integ["spill_checksum_overhead"] if integ else None,
-        "chaos_worst_ratio": chaos["worst_ratio"] if chaos else None,
-        "pool_speedup": pool["speedup"] if pool else None,
-        "pool_workers": pool["workers"] if pool else None,
-        "pool_insufficient_cores":
-            pool["insufficient_cores"] if pool else None,
-        "windowed_speedup": workloads["windowed_aggregation"]["speedup"]
-            if "windowed_aggregation" in workloads else None,
+            overheads["integrity_overhead"]["spill"]["on_ratio"] - 1.0,
+        **pool_summary(pool),
         "sustained_rates": {
             s: v["sustained_rate"]
             for s, v in streaming["scenarios"].items()
-        } if streaming else None,
+        },
+        "backpressure_tightening":
+            overload["off"]["pipeline_p99"] / overload["on"]["pipeline_p99"],
         "serving_jain_fairness": {
-            m: v["jain_fairness"] for m, v in serving["mixes"].items()
-        } if serving else None,
+            m: v["jain_fairness"] for m, v in mixes.items()},
+        "serving_balanced_jain": mixes["balanced"]["jain_fairness"],
         "serving_goodput_per_dollar": {
-            m: v["goodput_per_dollar"] for m, v in serving["mixes"].items()
-        } if serving else None,
-        "serving_chaos_conserved":
-            serving["chaos_sweep"]["all_conserved"] if serving else None,
-        "serving_chaos_graceful":
-            serving["chaos_sweep"]["graceful"] if serving else None,
+            m: v["goodput_per_dollar"] for m, v in mixes.items()},
+        "serving_chaos_conserved": serving["chaos_sweep"]["all_conserved"],
+        "serving_chaos_p99_ratio":
+            serving["chaos_sweep"]["max_p99_ratio_vs_clean"],
     }
 
 

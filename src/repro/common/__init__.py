@@ -19,7 +19,6 @@ from .errors import (
     StreamingError,
     TaskFailedError,
 )
-from .fairshare import max_min_fair_share, weighted_max_min
 from .pqueue import IndexedHeap
 from .rng import RandomState, ensure_rng, spawn, zipf_pmf, zipf_sample
 from .stats import Histogram, Summary, TimeWeighted, cdf_points, jain_index, percentile
@@ -58,8 +57,6 @@ __all__ = [
     "cdf_points",
     # structures
     "IndexedHeap",
-    # fair sharing
-    "max_min_fair_share", "weighted_max_min",
     # units
     "KB", "MB", "GB", "TB", "KiB", "MiB", "GiB", "TiB",
     "Kbit_per_s", "Mbit_per_s", "Gbit_per_s",

@@ -67,10 +67,16 @@ __all__ = [
 
 # -- configuration -----------------------------------------------------------
 
+#: Probe-side join keys sampled per skew decision.
+SKEW_SAMPLE = 2048
+
+#: At most this many hot keys get a dedicated reduce partition.
+MAX_HOT_KEYS = 8
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Thresholds for the three adaptive decisions.
+    """Thresholds for the adaptive decisions.
 
     ``broadcast_rows``: broadcast the right side when its measured (or
     statically bounded) row count is <= this.  ``skew_factor``: isolate a
@@ -79,12 +85,8 @@ class AdaptiveConfig:
     """
 
     broadcast_rows: int = 1000
-    topk: bool = True
-    skew_detect: bool = True
     skew_factor: float = 3.0
-    skew_sample: int = 2048
     skew_min_rows: int = 256
-    max_hot_keys: int = 8
     measure: bool = True
 
 
@@ -285,13 +287,13 @@ def _decide_broadcast(plan: Join, ctx, n_partitions: int,
 def _decide_skew(plan: Join, ctx, n_partitions: int,
                  config: AdaptiveConfig, report: AdaptiveReport) -> None:
     """Annotate ``plan`` with hot probe-side keys (in place)."""
-    if not config.skew_detect or not _is_narrow(plan.left):
+    if not _is_narrow(plan.left):
         return
     est = estimate_rows(plan.left)
     if est is None or est < config.skew_min_rows:
         return
     keys = _sample_keys(plan.left, ctx, n_partitions, tuple(plan.on),
-                        est, config.skew_sample)
+                        est, SKEW_SAMPLE)
     if not keys:
         return
     counts: Dict[tuple, int] = {}
@@ -304,7 +306,7 @@ def _decide_skew(plan: Join, ctx, n_partitions: int,
     if not hot:
         return
     hot.sort(key=lambda k: -counts[k])
-    hot = hot[:config.max_hot_keys]
+    hot = hot[:MAX_HOT_KEYS]
     plan.skew_keys = hot
     report.record("skew_repartitions", on=list(plan.on),
                   hot_keys=len(hot), sampled=len(keys),
@@ -326,8 +328,7 @@ def adapt(plan: LogicalPlan, ctx, n_partitions: int,
     plan.children = [adapt(c, ctx, n_partitions, config, report)[0]
                      for c in plan.children]
 
-    if (config.topk and isinstance(plan, Limit)
-            and isinstance(plan.child, OrderBy)):
+    if isinstance(plan, Limit) and isinstance(plan.child, OrderBy):
         ob = plan.child
         report.record("topk_pushdowns", key=ob.key,
                       ascending=ob.ascending, n=plan.n)

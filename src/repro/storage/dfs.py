@@ -45,6 +45,10 @@ from .reedsolomon import RSCode
 __all__ = ["DFSConfig", "BlockInfo", "FileInfo", "DistributedFS"]
 
 
+#: Scrub verify throughput (bytes/s) each scrub pass paces itself to.
+SCRUB_RATE = MB(64)
+
+
 @dataclass(frozen=True)
 class DFSConfig:
     """Filesystem-wide settings."""
@@ -53,13 +57,10 @@ class DFSConfig:
     replication: int = 3
     ec_k: int = 6
     ec_m: int = 3
-    default_mode: str = "replicate"      # or "ec"
     rack_aware: bool = True
     auto_repair: bool = True
     detection_delay: float = 5.0         # seconds until a failure is acted on
-    chunk_size: int = integrity.CHUNK_SIZE
     scrub_interval: float = 0.0          # seconds between scrub passes; 0 = off
-    scrub_rate: float = MB(64)           # scrub verify throughput (bytes/s)
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
@@ -68,12 +69,8 @@ class DFSConfig:
             raise ConfigError("replication must be >= 1")
         if self.ec_k < 1 or self.ec_m < 0:
             raise ConfigError("invalid EC parameters")
-        if self.default_mode not in ("replicate", "ec"):
-            raise ConfigError("default_mode must be 'replicate' or 'ec'")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk_size must be positive")
-        if self.scrub_interval < 0 or self.scrub_rate < 0:
-            raise ConfigError("scrub parameters must be >= 0")
+        if self.scrub_interval < 0:
+            raise ConfigError("scrub_interval must be >= 0")
 
 
 @dataclass
@@ -203,8 +200,9 @@ class DistributedFS:
               mode: Optional[str] = None) -> Event:
         """Create file ``path`` of ``size`` bytes (or actual ``data``).
 
-        ``writer`` is the client node (defaults to a random live node).
-        The returned event fires with the :class:`FileInfo` once every
+        ``writer`` is the client node (defaults to a random live node);
+        ``mode`` is ``"replicate"`` (the default) or ``"ec"``.  The
+        returned event fires with the :class:`FileInfo` once every
         block is durably stored.
         """
         if path in self.files:
@@ -215,7 +213,7 @@ class DistributedFS:
             size = len(data)
         if size < 0:
             raise ConfigError("size must be nonnegative")
-        mode = mode or self.config.default_mode
+        mode = mode or "replicate"
         if mode not in ("replicate", "ec"):
             raise ConfigError("mode must be 'replicate' or 'ec'")
         writer = writer or self._random_live_node()
@@ -252,7 +250,7 @@ class DistributedFS:
         # pipelined: the client streams to replica 1 which streams to 2, ...
         # modeled as concurrent hop transfers plus a disk write per replica.
         # every replica holds the same bytes: seal them once
-        seal = (integrity.seal(data, self.config.chunk_size)
+        seal = (integrity.seal(data)
                 if data is not None else None)
         pending = []
         prev = writer
@@ -547,7 +545,7 @@ class DistributedFS:
         self._content[(block_id, slot)] = data
         self._seals[(block_id, slot)] = (
             seal if seal is not None
-            else integrity.seal(data, self.config.chunk_size))
+            else integrity.seal(data))
 
     def _copy_piece(self, block_id: int, src_slot: int, dst_slot: int) -> None:
         """Clone a verified piece (bytes + seal) into another slot."""
@@ -690,7 +688,7 @@ class DistributedFS:
 
         Every ``scrub_interval`` seconds the scrubber walks all stored
         pieces in deterministic order, charges verify IO at each holding
-        node, paces itself to ``scrub_rate`` bytes/second, and
+        node, paces itself to :data:`SCRUB_RATE` bytes/second, and
         quarantines + repairs any piece whose checksums fail — catching
         bit-rot on cold data before a reader ever trips over it.
         """
@@ -728,9 +726,7 @@ class DistributedFS:
                     continue
                 if piece_size > 0:
                     yield self.cluster.nodes[node].disk_read(piece_size)
-                    if self.config.scrub_rate > 0:
-                        yield self.sim.timeout(
-                            piece_size / self.config.scrub_rate)
+                    yield self.sim.timeout(piece_size / SCRUB_RATE)
                 self.scrub_pieces += 1
                 self.scrub_bytes += piece_size
                 if not self._pieces_clean(block, [slot]):

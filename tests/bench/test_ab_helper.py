@@ -129,9 +129,14 @@ class TestChaosOverhead:
             return real(names, run, reps)
 
         monkeypatch.setattr(perfsuite, "interleaved_ab", spy)
-        r = perfsuite.measure_chaos_overhead(0.01, reps=2, attempts=1)
-        assert legs == [("bare", "attached")] * 3
-        assert set(r["workloads"]) == {"wordcount", "stream", "microbatch"}
-        assert r["worst_ratio"] == max(w["ratio"]
-                                       for w in r["workloads"].values())
-        assert all(w["bare_seconds"] > 0 for w in r["workloads"].values())
+        r = perfsuite.measure_chaos_overhead(0.01, reps=2)
+        # one trial is three A/Bs; a noisy trial is retried whole
+        assert set(legs) == {("bare", "attached")}
+        assert len(legs) in (3, 6, 9)
+        assert set(r) == {"wordcount", "stream", "microbatch",
+                          "chaos_worst_ratio"}
+        assert r["chaos_worst_ratio"] == max(
+            r[w]["attached_ratio"] for w in ("wordcount", "stream",
+                                             "microbatch"))
+        assert all(r[w]["bare_seconds"] > 0
+                   for w in ("wordcount", "stream", "microbatch"))
