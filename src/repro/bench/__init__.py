@@ -1,5 +1,5 @@
 """Shared experiment-harness utilities used by ``benchmarks/``."""
 
-from .harness import Series, Table, sweep
+from .harness import Series, Table
 
-__all__ = ["Table", "Series", "sweep"]
+__all__ = ["Table", "Series"]

@@ -1,4 +1,4 @@
-"""Experiment harness: tables, series, and parameter sweeps.
+"""Experiment harness: tables and series.
 
 Every benchmark in ``benchmarks/`` prints through :class:`Table` (for the
 paper-style tables) or :class:`Series` (for figure data), so outputs are
@@ -8,9 +8,9 @@ uniform and EXPERIMENTS.md can quote them verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-__all__ = ["Table", "Series", "sweep", "bench_metadata"]
+__all__ = ["Table", "Series", "bench_metadata"]
 
 
 def bench_metadata() -> Dict[str, Any]:
@@ -110,17 +110,3 @@ class Series:
     def show(self) -> None:
         """Print the rendered series."""
         print(self.render())
-
-
-def sweep(values: Iterable[Any], fn: Callable[[Any], Dict[str, Any]])\
-        -> List[Dict[str, Any]]:
-    """Run ``fn`` once per parameter value; collect dict results.
-
-    Each result dict gets the swept value under ``"param"``.
-    """
-    out = []
-    for v in values:
-        res = dict(fn(v))
-        res.setdefault("param", v)
-        out.append(res)
-    return out

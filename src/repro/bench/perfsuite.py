@@ -82,9 +82,7 @@ __all__ = ["BASKET", "HEADLINE", "POOL_HEADLINE", "POOL_SWEEP",
            "measure_sql_analytics", "measure_sql_join", "measure_narrow_chain",
            "measure_pool_backend", "measure_windowed_aggregation",
            "measure_sustained_throughput", "measure_multi_tenant_serving",
-           "measure_obs_overhead", "measure_resilience_overhead",
-           "measure_integrity_overhead", "measure_chaos_overhead",
-           "profile_end_to_end"]
+           "measure_overhead", "profile_end_to_end"]
 
 #: v8 adds the streaming measurements: ``windowed_aggregation`` (the
 #: vectorized event-time aggregator A/B'd byte-for-byte against the
@@ -221,7 +219,7 @@ _OVERHEAD_BOUND = 0.05
 #: Every bound, keyed by the ``summary`` value it holds.  Reduced scales
 #: (CI runs 0.5) get the ``smoke`` floors.  The overhead A/Bs always run
 #: at scale >= 1.0 and retry a trial while it reads past its bound (see
-#: :func:`_measure_overhead`).
+#: :func:`measure_overhead`).
 GUARDS: Dict[str, Guard] = {g.key: g for g in (
     Guard("fusion_speedup", 1.2),
     Guard("sql_speedup", 1.5, smoke=1.1),
@@ -1289,24 +1287,40 @@ _IDLE_POLICIES = ResiliencePolicies(
 #: Interleaved reps per overhead A/B trial.
 _OVERHEAD_REPS = 15
 
-#: The overhead A/Bs, keyed by report section.
+#: The overhead A/Bs, keyed by report section.  Every leg of an A/B must
+#: compute the identical result.
 _OVERHEADS: Dict[str, _Overhead] = {
+    # What observability costs off and on, on the basket wordcount job.
+    # ``traced`` (tracer + registry) does a strict superset of the
+    # disabled path's work, so ``traced/off`` upper-bounds the disabled
+    # overhead and is the reading.  ``noop`` attaches a do-nothing kernel
+    # observer (one call per DES event): the opt-in floor, informational.
     "obs_overhead": _Overhead(
         "obs_enabled_overhead",
         {"wordcount": _engine_ab(off={}, noop={"arm": _noop_observer},
                                  traced={"arm": _tracing})},
         lambda r: r["wordcount"]["traced_ratio"] - 1.0),
+    # What armed-but-idle resilience costs: the default policies against
+    # the full ``_IDLE_POLICIES`` stack, which nothing on this healthy run
+    # triggers — the deadline watchdog and hedge poll timer's bookkeeping.
     "resilience_overhead": _Overhead(
         "resilience_armed_overhead",
         {"wordcount": _engine_ab(off={},
                                  armed={"resilience": _IDLE_POLICIES})},
         lambda r: r["wordcount"]["armed_ratio"] - 1.0),
+    # What the checksummed data plane costs when nothing rots:
+    # ``ExecOptions.checksums`` on the wordcount job (sealed bucket blobs,
+    # verified on fetch; the reading), and the process-pool spill path
+    # with and without seals (informational).
     "integrity_overhead": _Overhead(
         "integrity_checksum_overhead",
         {"wordcount": _engine_ab(
             off={"options": ExecOptions(checksums=False)}, on={}),
          "spill": _spill_ab},
         lambda r: r["wordcount"]["on_ratio"] - 1.0),
+    # What an attached but empty fault plan costs on the wordcount job,
+    # the checkpointed stateful stream and the micro-batch engine; the
+    # reading is the worst of the three ``attached_ratio``s.
     "chaos_overhead": _Overhead(
         "chaos_worst_ratio",
         {"wordcount": _engine_ab(bare={}, attached={"arm": _empty_fault_plan}),
@@ -1315,12 +1329,14 @@ _OVERHEADS: Dict[str, _Overhead] = {
 }
 
 
-def _measure_overhead(section: str, scale: float,
-                      reps: int) -> Dict[str, Any]:
+def measure_overhead(section: str, scale: float = 1.0,
+                     reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
     """Run the :data:`_OVERHEADS` row ``section``.
 
-    One trial runs each A/B through :func:`interleaved_ab` and reports
-    ``<leg>_seconds`` per leg and, per non-base leg, ``<leg>_ratio``: its
+    ``section`` is ``"obs_overhead"``, ``"resilience_overhead"``,
+    ``"integrity_overhead"`` or ``"chaos_overhead"``.  One trial runs
+    each A/B through :func:`interleaved_ab` and reports ``<leg>_seconds``
+    per leg and, per non-base leg, ``<leg>_ratio``: its
     :func:`median_ratio` over the base leg.  The row's reading goes under
     its :data:`GUARDS` key, and :func:`best_trial` retries the trial, at
     most 3 times, while the reading is not under that bound.
@@ -1340,91 +1356,6 @@ def _measure_overhead(section: str, scale: float,
         return report
 
     return best_trial(trial, row.guard, 3, GUARDS[row.guard].limit(scale))
-
-
-def measure_obs_overhead(scale: float = 1.0,
-                         reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
-    """Measure what observability costs when it is off (and when on).
-
-    Three interleaved legs of the basket wordcount job:
-
-    * ``off`` — the default: no tracer, no registry, no observer.
-    * ``traced`` — tracer + metrics registry installed.  The traced path
-      performs a strict superset of the disabled path's instrumentation
-      work (the same module-global loads and ``None`` checks, plus all
-      the actual recording), so ``traced/off`` **upper-bounds** the
-      disabled overhead — this ratio is the guarded reading.
-    * ``noop`` — a do-nothing kernel observer attached, one Python call
-      per DES event dispatch.  Informational: nothing attaches a
-      per-event observer unless kernel-event tracing or profiling is
-      explicitly requested, so this is the opt-in floor, not a cost the
-      default path ever pays.
-
-    All legs must compute the identical result; see
-    :func:`_measure_overhead` for the report and the retry.
-    """
-    return _measure_overhead("obs_overhead", scale, reps)
-
-
-def measure_resilience_overhead(scale: float = 1.0,
-                                reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
-    """Measure what armed-but-idle resilience policies cost.
-
-    Two interleaved legs of the basket wordcount job:
-
-    * ``off`` — ``EngineConfig.resilience=None``: the default policies
-      (each job's retry session runs ``DEFAULT_TASK_RETRY``; no hedge,
-      no deadline).
-    * ``armed`` — a full :class:`ResiliencePolicies` stack
-      (``_IDLE_POLICIES``).  On this healthy homogeneous run no retry,
-      no deadline and no budget can trigger, so the measured difference
-      is the pure bookkeeping cost of the extra policies: the deadline
-      watchdog and the hedge-armed poll timer.
-
-    Both legs must compute the identical result; see
-    :func:`_measure_overhead` for the report and the retry.
-    """
-    return _measure_overhead("resilience_overhead", scale, reps)
-
-
-def measure_integrity_overhead(scale: float = 1.0,
-                               reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
-    """Measure what the checksummed data plane costs when nothing rots.
-
-    Two interleaved A/Bs of checksums on (the default) vs off:
-
-    * ``wordcount`` — the basket job with ``ExecOptions.checksums``
-      toggled: the on leg stores every registered map-output bucket as a
-      sealed pickle blob (pickle + chunk CRC32) and verifies + unpickles
-      it on fetch; the off leg keeps the record lists and does neither.
-      This is the guarded reading.
-    * ``spill`` — the process-pool spill path in isolation:
-      :func:`~repro.dataflow.shuffleio.write_bucket_file` +
-      :func:`~repro.dataflow.shuffleio.read_bucket_file` over a
-      realistic bucket set with and without seals
-      (informational; the seal rides the same buffer the pickler just
-      produced, so it is a small fraction of serialization cost).
-
-    Both legs must compute the identical result; see
-    :func:`_measure_overhead` for the report and the retry.
-    """
-    return _measure_overhead("integrity_overhead", scale, reps)
-
-
-def measure_chaos_overhead(scale: float = 1.0,
-                           reps: int = _OVERHEAD_REPS) -> Dict[str, Any]:
-    """Measure what an attached but empty fault plan costs.
-
-    The chaos adapters are built so that a plan with no events adds only
-    a ``None`` check per dataflow task, an unwrapped rate function and no
-    scheduled process.  Three workloads — the basket wordcount job, the
-    checkpointed stateful stream and the micro-batch engine — each run
-    ``bare`` and ``attached`` (``FaultPlan.scripted([])``), and both legs
-    must compute the same result.  The guarded reading is the worst of
-    the three ``attached_ratio``s; see :func:`_measure_overhead` for the
-    report and the retry.
-    """
-    return _measure_overhead("chaos_overhead", scale, reps)
 
 
 def profile_end_to_end(name: str = "wordcount",
@@ -1503,7 +1434,7 @@ def run_suite(scale: float = 1.0, verbose: bool = True,
     # percent-level, which would make the overhead bounds flaky — and
     # fixed costs dominate, so full scale barely costs more wall time
     overheads = {
-        section: _measure_overhead(section, max(scale, 1.0), _OVERHEAD_REPS)
+        section: measure_overhead(section, max(scale, 1.0))
         for section in _OVERHEADS}
     if verbose:
         for section, report in overheads.items():

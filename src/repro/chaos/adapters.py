@@ -23,8 +23,9 @@ Every actual injection is appended to an :class:`InjectionTrace`; the
 recovery-equivalence oracle replays a scenario twice and asserts the two
 traces are identical, which is the machine check of the determinism
 contract.  Adapters with no matching events in the plan schedule nothing
-and cost nothing — :func:`repro.bench.perfsuite.measure_chaos_overhead`
-measures exactly that, and the p0 bench's guards bound it.
+and cost nothing — ``measure_overhead("chaos_overhead")`` in
+:mod:`repro.bench.perfsuite` measures exactly that, and the p0 bench's
+guards bound it.
 """
 
 from __future__ import annotations

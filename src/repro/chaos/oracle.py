@@ -46,6 +46,7 @@ from ..simcore.kernel import Simulator
 from ..storage.dfs import DFSConfig, DistributedFS
 from ..streaming.backpressure import PipelineConfig, run_event_pipeline
 from ..streaming.checkpoint import (
+    RECOVERY_FIXED_COST,
     CheckpointConfig,
     run_stateful_stream,
     run_windowed_stream,
@@ -235,7 +236,7 @@ def check_streaming(seed: int, plan: Optional[FaultPlan] = None) -> OracleReport
                       f"{label}:all_crashes_recovered")
         report.expect(faulted1.processed_events == len(events),
                       f"{label}:record_conservation")
-        report.expect(all(r.recovery_seconds >= cfg.recovery_fixed_cost
+        report.expect(all(r.recovery_seconds >= RECOVERY_FIXED_COST
                           for r in faulted1.recoveries),
                       f"{label}:recovery_cost_accounted")
     return report

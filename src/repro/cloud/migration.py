@@ -20,7 +20,7 @@ traffic contends with whatever else the network carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..common.errors import MigrationError
 from ..net.netsim import NetworkSim
@@ -43,11 +43,6 @@ class MigrationResult:
     transferred_bytes: float   # total data moved
     rounds: int = 1            # copy rounds (pre-copy)
     degraded_time: float = 0.0  # post-copy demand-paging period
-
-    @property
-    def overhead_ratio(self) -> float:
-        """Transferred bytes / memory size proxy (set by callers)."""
-        return self.transferred_bytes
 
 
 def _validate(mem_bytes: float, bandwidth: float) -> None:

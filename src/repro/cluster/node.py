@@ -5,8 +5,7 @@ A :class:`Node` bundles the simulated resources of one machine:
 * ``cpu``  — a :class:`~repro.simcore.resources.Resource` with one server
   per core (task slots),
 * ``disk`` — a :class:`~repro.cluster.fluid.FluidResource` sharing disk
-  bandwidth among concurrent I/Os,
-* ``mem``  — a :class:`~repro.simcore.resources.Container` of bytes.
+  bandwidth among concurrent I/Os.
 
 ``speed`` scales compute: a task of ``w`` work units takes ``w / speed``
 core-seconds.  Slowing a node down at runtime (straggler injection) only
@@ -16,13 +15,12 @@ are modeled in speculation studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
-from ..common.units import GiB, MB
 from ..simcore.events import Event
 from ..simcore.kernel import Simulator
-from ..simcore.resources import Container, Resource
+from ..simcore.resources import Resource
 from .fluid import FluidResource
 
 __all__ = ["NodeSpec", "Node"]
@@ -34,8 +32,6 @@ class NodeSpec:
 
     cores: int = 4
     speed: float = 1.0                 # work units per core-second
-    mem_bytes: int = GiB(16)
-    disk_bytes: int = GiB(1000)
     disk_bw: float = 200 * 1e6         # 200 MB/s spinning-disk-ish
 
     def __post_init__(self) -> None:
@@ -43,12 +39,12 @@ class NodeSpec:
             raise ValueError("cores must be >= 1")
         if self.speed <= 0:
             raise ValueError("speed must be positive")
-        if min(self.mem_bytes, self.disk_bytes) < 0 or self.disk_bw <= 0:
+        if self.disk_bw <= 0:
             raise ValueError("invalid capacity")
 
 
 class Node:
-    """A simulated machine: compute slots, disk, memory, liveness."""
+    """A simulated machine: compute slots, disk, liveness."""
 
     def __init__(self, sim: Simulator, name: str, spec: NodeSpec,
                  rack: str = "rack0") -> None:
@@ -60,8 +56,6 @@ class Node:
         self._speed_factor = 1.0
         self.cpu = Resource(sim, capacity=spec.cores, name=f"{name}.cpu")
         self.disk = FluidResource(sim, spec.disk_bw, name=f"{name}.disk")
-        self.mem = Container(sim, capacity=spec.mem_bytes, init=0.0)
-        self.disk_used = 0
         #: called with (node, event_str) on "fail" / "recover"
         self.listeners: List[Callable[["Node", str], None]] = []
         #: count of failures experienced

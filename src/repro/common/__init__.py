@@ -21,7 +21,7 @@ from .errors import (
 )
 from .pqueue import IndexedHeap
 from .rng import RandomState, ensure_rng, spawn, zipf_pmf, zipf_sample
-from .stats import Histogram, Summary, TimeWeighted, cdf_points, jain_index, percentile
+from .stats import Summary, TimeWeighted, jain_index, percentile
 from .units import (
     GB,
     GiB,
@@ -53,8 +53,7 @@ __all__ = [
     # rng
     "RandomState", "ensure_rng", "spawn", "zipf_pmf", "zipf_sample",
     # stats
-    "Summary", "Histogram", "TimeWeighted", "jain_index", "percentile",
-    "cdf_points",
+    "Summary", "TimeWeighted", "jain_index", "percentile",
     # structures
     "IndexedHeap",
     # units

@@ -1,9 +1,9 @@
-"""Streaming summary statistics, histograms, and fairness indices.
+"""Streaming summary statistics and fairness indices.
 
 These are the measurement primitives used by every experiment harness:
 :class:`Summary` (Welford streaming moments + reservoir for quantiles),
-:class:`Histogram` (fixed-bin), :class:`TimeWeighted` (time-averaged
-utilization), and :func:`jain_index` (fairness).
+:class:`TimeWeighted` (time-averaged utilization), and :func:`jain_index`
+(fairness).
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import numpy as np
 
 __all__ = [
     "Summary",
-    "Histogram",
     "TimeWeighted",
     "jain_index",
     "percentile",
-    "cdf_points",
 ]
 
 
@@ -155,56 +153,6 @@ class Summary:
         )
 
 
-class Histogram:
-    """Fixed-bin histogram over ``[lo, hi)`` with under/overflow bins."""
-
-    def __init__(self, lo: float, hi: float, n_bins: int) -> None:
-        if not (hi > lo):
-            raise ValueError("hi must exceed lo")
-        if n_bins <= 0:
-            raise ValueError("need at least one bin")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.n_bins = int(n_bins)
-        self._counts = np.zeros(n_bins, dtype=np.int64)
-        self.underflow = 0
-        self.overflow = 0
-        self._width = (self.hi - self.lo) / self.n_bins
-
-    def add(self, x: float, weight: int = 1) -> None:
-        """Record ``x`` with integer multiplicity ``weight``."""
-        if x < self.lo:
-            self.underflow += weight
-        elif x >= self.hi:
-            self.overflow += weight
-        else:
-            idx = int((x - self.lo) / self._width)
-            # guard the exact-hi float edge
-            idx = min(idx, self.n_bins - 1)
-            self._counts[idx] += weight
-
-    @property
-    def counts(self) -> np.ndarray:
-        """In-range bin counts (copy)."""
-        return self._counts.copy()
-
-    @property
-    def total(self) -> int:
-        """All recorded weight, including under/overflow."""
-        return int(self._counts.sum()) + self.underflow + self.overflow
-
-    def bin_edges(self) -> np.ndarray:
-        """The ``n_bins + 1`` bin edges."""
-        return np.linspace(self.lo, self.hi, self.n_bins + 1)
-
-    def normalized(self) -> np.ndarray:
-        """In-range bin probabilities (sums to in-range fraction)."""
-        t = self.total
-        if t == 0:
-            return np.zeros(self.n_bins)
-        return self._counts / t
-
-
 @dataclass
 class TimeWeighted:
     """Time-weighted average of a piecewise-constant signal.
@@ -272,12 +220,3 @@ def percentile(xs: Sequence[float], q: float) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.percentile(arr, q))
-
-
-def cdf_points(xs: Sequence[float]) -> "tuple[np.ndarray, np.ndarray]":
-    """Empirical CDF as ``(sorted values, cumulative probabilities)``."""
-    arr = np.sort(np.asarray(list(xs), dtype=np.float64))
-    if arr.size == 0:
-        return arr, arr
-    probs = np.arange(1, arr.size + 1, dtype=np.float64) / arr.size
-    return arr, probs

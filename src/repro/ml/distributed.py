@@ -29,9 +29,12 @@ import numpy as np
 
 from ..common.errors import ReproError
 from ..common.rng import RandomState, ensure_rng, spawn
-from .sgd import SGDHistory, logistic_grad, logistic_loss
+from .sgd import logistic_grad, logistic_loss
 
 __all__ = ["DistTrainConfig", "DistTrainResult", "train_distributed"]
+
+#: Minibatch size per worker.
+BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class DistTrainConfig:
 
     mode: str = "sync"              # "sync" | "async" | "localsgd"
     n_workers: int = 4
-    batch_size: int = 32            # per worker
     lr: float = 0.5
     total_updates: int = 400        # global parameter updates / sync rounds
     grad_compute_time: float = 0.05  # seconds per minibatch on a 1.0x worker
@@ -67,16 +69,6 @@ class DistTrainResult:
     losses: List[float] = field(default_factory=list)
     staleness_mean: float = 0.0
     wall_time: float = 0.0
-
-    def loss_at_time(self, t: float) -> float:
-        """Loss of the latest evaluation at or before simulated time ``t``."""
-        best = self.losses[0] if self.losses else float("inf")
-        for ti, li in zip(self.times, self.losses):
-            if ti <= t:
-                best = li
-            else:
-                break
-        return best
 
     def time_to_loss(self, target: float) -> float:
         """First simulated time the loss dipped below ``target`` (inf if never)."""
@@ -114,7 +106,7 @@ def train_distributed(X: np.ndarray, y: np.ndarray,
 
     def sample_grad(widx: int, params: np.ndarray) -> np.ndarray:
         shard = shards[widx]
-        take = min(cfg.batch_size, len(shard))
+        take = min(BATCH_SIZE, len(shard))
         idx = shard[worker_rngs[widx].integers(0, len(shard), size=take)]
         return grad_fn(params, X[idx], y[idx], cfg.l2)
 

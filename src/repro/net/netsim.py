@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..common.errors import NetworkError
 from ..common.units import Gbit_per_s
@@ -184,10 +184,6 @@ class NetworkSim:
                 carried[lid] = math.fsum([carried.get(lid, 0.0), *parts])
         keys = list(self._link_ids)
         return {keys[lid]: nbytes for lid, nbytes in carried.items()}
-
-    def current_rate(self, fid: int) -> Optional[float]:
-        """Instantaneous rate of flow ``fid`` (testing/inspection hook)."""
-        return self._rates.get(fid)
 
     # -- engine --------------------------------------------------------------
 

@@ -57,6 +57,10 @@ __all__ = ["ServeConfig", "ServeGateway", "run_gateway"]
 #: injected crash is detected (work lost to the crash).
 _CRASH_POINT = 0.3
 
+#: Utilization bounds of the autoscaler's threshold policy.
+_SCALE_HIGH = 0.85
+_SCALE_LOW = 0.35
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -69,9 +73,6 @@ class ServeConfig:
     max_nodes: int = 64
     control_period: float = 15.0
     boot_delay: float = 30.0
-    price_per_node_hour: float = 1.0
-    scale_high: float = 0.85            # threshold policy bounds
-    scale_low: float = 0.35
     flap_window: float = 120.0
     retry: RetryPolicy = RetryPolicy(max_attempts=4, budget=12,
                                      base_delay=0.25, max_delay=5.0)
@@ -229,7 +230,7 @@ class ServeGateway:
         self._work_window = 0.0
         self._scale_policy = policy  # scheduler policy (for name)
         self._autoscale = BreakerGatedPolicy(
-            ThresholdPolicy(high=config.scale_high, low=config.scale_low),
+            ThresholdPolicy(high=_SCALE_HIGH, low=_SCALE_LOW),
             flap_window=config.flap_window)
         # chaos state
         self._crash_tokens = 0
@@ -538,7 +539,6 @@ class ServeGateway:
             modeled_users=sum(t.users for t in self.tenants),
             sample_frac=cfg.sample_frac,
             node_seconds=self._billed.average(makespan) * makespan,
-            price_per_node_hour=cfg.price_per_node_hour,
             scale_holds=self._autoscale.held_decisions,
             cpu_utilization=(
                 self.sched._busy.average(makespan)

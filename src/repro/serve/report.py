@@ -22,11 +22,14 @@ recovery-equivalence and determinism checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..common.stats import Summary, jain_index
 
 __all__ = ["TenantStats", "ServeReport"]
+
+#: Dollars per billed node-hour.
+PRICE_PER_NODE_HOUR = 1.0
 
 
 @dataclass
@@ -110,13 +113,12 @@ class ServeReport:
     modeled_users: int = 0          # full-population sum across tenants
     sample_frac: float = 1.0
     node_seconds: float = 0.0       # billed fleet time (incl. booting)
-    price_per_node_hour: float = 1.0
     scale_holds: int = 0            # breaker-held autoscale decisions
     cpu_utilization: float = 0.0
 
     @property
     def dollars(self) -> float:
-        return self.node_seconds / 3600.0 * self.price_per_node_hour
+        return self.node_seconds / 3600.0 * PRICE_PER_NODE_HOUR
 
     @property
     def total_goodput_work(self) -> float:
@@ -151,13 +153,6 @@ class ServeReport:
 
     def worst_p99(self) -> float:
         return max((t.p99 for t in self.tenants.values()), default=0.0)
-
-    def tenant_cost(self, name: str) -> float:
-        """Dollars attributed to a tenant by completed-work share."""
-        total = sum(t.work_completed for t in self.tenants.values())
-        if total <= 0:
-            return 0.0
-        return self.dollars * self.tenants[name].work_completed / total
 
     def snapshot(self) -> Dict[str, object]:
         """Deterministic dict of everything observable — oracle food.

@@ -117,11 +117,6 @@ class ColumnBatch:
         n = int(np.count_nonzero(mask))
         return ColumnBatch(self.schema, cols, n)
 
-    def take_idx(self, idx: np.ndarray) -> "ColumnBatch":
-        """Rows at integer positions ``idx`` (repeats allowed)."""
-        cols = {c: a[idx] for c, a in self.cols.items()}
-        return ColumnBatch(self.schema, cols, int(len(idx)))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ColumnBatch n={self.n} cols={self.schema}>"
 

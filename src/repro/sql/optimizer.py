@@ -47,13 +47,6 @@ def optimize(plan: LogicalPlan) -> LogicalPlan:
 # -- predicate pushdown -------------------------------------------------------
 
 
-def _is_rename_only(project: Project) -> bool:
-    return all(isinstance(e, Column) or
-               (hasattr(e, "_inner") and isinstance(getattr(e, "_inner"),
-                                                    Column))
-               for e in project.exprs)
-
-
 def _rewrite_through_project(pred: Expr, project: Project) -> Optional[Expr]:
     """Pred rewritten in terms of the project's *input* columns, or None.
 

@@ -1,4 +1,4 @@
-"""Storage substrate: DFS, erasure coding, caches, tiering."""
+"""Storage substrate: DFS, erasure coding, caches."""
 
 from .cache import (
     CachePolicy,
@@ -15,12 +15,10 @@ from .cache import (
 from .dfs import BlockInfo, DFSConfig, DistributedFS, FileInfo
 from .integrity import ChecksumError, Seal, flip_byte, seal, verify
 from .reedsolomon import RSCode
-from .tiered import Tier, TieredStats, TieredStore
 
 __all__ = [
     "DistributedFS", "DFSConfig", "BlockInfo", "FileInfo", "RSCode",
     "Seal", "ChecksumError", "seal", "verify", "flip_byte",
     "CachePolicy", "CacheStats", "FIFOCache", "LRUCache", "ClockCache",
     "LFUCache", "TwoQCache", "make_policy", "run_trace", "belady_hit_rate",
-    "Tier", "TieredStore", "TieredStats",
 ]

@@ -342,14 +342,8 @@ class DistributedFS:
             live = self._prefer_unbroken(live)
             hedge_delay = (self._hedge.delay(self._read_durations)
                            if self._hedge is not None else None)
-            distinct = sorted(
-                set(live),
-                key=lambda n: (n != reader,
-                               not self.cluster.same_rack(n, reader)
-                               if reader in self.cluster.nodes
-                               else True, n))
-            if hedge_delay is not None and len(distinct) > 1:
-                src = yield from self._hedged_fetch(block, reader, distinct,
+            if hedge_delay is not None and len(set(live)) > 1:
+                src = yield from self._hedged_fetch(block, reader, live,
                                                     hedge_delay)
             else:
                 src = self._closest(reader, live)
@@ -369,13 +363,20 @@ class DistributedFS:
                 return
 
     def _hedged_fetch(self, block: BlockInfo, reader: str,
-                      ranked: List[str], delay: float):
+                      live: List[str], delay: float):
         """Race the two closest replicas; first byte stream in wins.
 
         The loser's fetch is abandoned (its disk/network charges were
         already in flight, as in real hedged reads) and its completion
         event defused by :func:`run_hedged`.
         """
+        ranked = sorted(
+            set(live),
+            key=lambda n: (n != reader,
+                           not self.cluster.same_rack(n, reader)
+                           if reader in self.cluster.nodes
+                           else True, n))
+
         def launch(i: int):
             src = ranked[min(i, len(ranked) - 1)]
             ev = self.sim.event()

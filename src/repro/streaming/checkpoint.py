@@ -40,20 +40,20 @@ __all__ = ["CheckpointConfig", "RecoveryStats", "StatefulRun",
            "run_stateful_stream", "WindowedRun", "run_windowed_stream"]
 
 
+CHECKPOINT_COST = 0.2      # seconds of pipeline stall per snapshot
+REPLAY_SPEEDUP = 4.0       # replay runs this much faster than live
+RECOVERY_FIXED_COST = 1.0  # restart + state-load seconds
+
+
 @dataclass(frozen=True)
 class CheckpointConfig:
     """Checkpointing knobs."""
 
     interval: float = 10.0            # seconds between checkpoints
-    checkpoint_cost: float = 0.2      # seconds of pipeline stall per snapshot
-    replay_speedup: float = 4.0       # replay runs this much faster than live
-    recovery_fixed_cost: float = 1.0  # restart + state-load seconds
 
     def __post_init__(self) -> None:
-        if self.interval <= 0 or self.checkpoint_cost < 0:
+        if self.interval <= 0:
             raise StreamingError("bad checkpoint parameters")
-        if self.replay_speedup <= 0 or self.recovery_fixed_cost < 0:
-            raise StreamingError("bad recovery parameters")
 
 
 class _SnapshotLog:
@@ -223,8 +223,8 @@ def _run_checkpointed(
         for lo in range(offset, stop, batch_records):
             emissions.extend(feed(events[lo:min(lo + batch_records, stop)]))
         replayed = stop - offset
-        replay_time = (at - ck_t) / config.replay_speedup
-        rec_seconds = config.recovery_fixed_cost + replay_time
+        replay_time = (at - ck_t) / REPLAY_SPEEDUP
+        rec_seconds = RECOVERY_FIXED_COST + replay_time
         recoveries.append(RecoveryStats(at, ck_t, replayed, rec_seconds))
         c_crashes.inc()
         c_replayed.inc(replayed)
@@ -250,7 +250,7 @@ def _run_checkpointed(
             snapshots.append(next_ckpt, snapshot(), i, len(emissions))
             checkpoints += 1
             c_checkpoints.inc()
-            overhead += config.checkpoint_cost
+            overhead += CHECKPOINT_COST
             if tr is not None:
                 tr.instant("checkpoint", next_ckpt, lane=lane,
                            cat="checkpoint", offset=i,
@@ -300,7 +300,7 @@ def run_stateful_stream(
 
     ``crash_times`` lists event-time instants at which the operator dies;
     each crash rolls state back to the latest checkpoint at or before the
-    crash and replays the events in between (at ``replay_speedup``).
+    crash and replays the events in between (at ``REPLAY_SPEEDUP``).
     ``corrupt_times`` silently rot the newest intact snapshot; recovery
     verifies and falls back past them.  The final state is exactly the
     state of a fault-free run.

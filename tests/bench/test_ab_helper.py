@@ -129,7 +129,7 @@ class TestChaosOverhead:
             return real(names, run, reps)
 
         monkeypatch.setattr(perfsuite, "interleaved_ab", spy)
-        r = perfsuite.measure_chaos_overhead(0.01, reps=2)
+        r = perfsuite.measure_overhead("chaos_overhead", 0.01, reps=2)
         # one trial is three A/Bs; a noisy trial is retried whole
         assert set(legs) == {("bare", "attached")}
         assert len(legs) in (3, 6, 9)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import Series, Table, sweep
+from repro.bench import Series, Table
 
 
 class TestTable:
@@ -57,14 +57,3 @@ class TestSeries:
         s.add(0, 0)
         s.show()
         assert "x:" in capsys.readouterr().out
-
-
-class TestSweep:
-    def test_collects_results(self):
-        out = sweep([1, 2, 3], lambda v: {"sq": v * v})
-        assert [r["sq"] for r in out] == [1, 4, 9]
-        assert [r["param"] for r in out] == [1, 2, 3]
-
-    def test_param_not_overwritten(self):
-        out = sweep([5], lambda v: {"param": "custom"})
-        assert out[0]["param"] == "custom"

@@ -1,20 +1,11 @@
-"""Summary statistics, histograms, time-weighted averages, fairness."""
-
-import math
+"""Summary statistics, time-weighted averages, fairness."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.stats import (
-    Histogram,
-    Summary,
-    TimeWeighted,
-    cdf_points,
-    jain_index,
-    percentile,
-)
+from repro.common.stats import Summary, TimeWeighted, jain_index, percentile
 
 
 class TestSummary:
@@ -142,49 +133,6 @@ class TestWeightedSummary:
                 float(np.quantile(xs, q)), rel=1e-9, abs=1e-6)
 
 
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram(0, 10, 10)
-        for x in [0.5, 1.5, 1.7, 9.9]:
-            h.add(x)
-        counts = h.counts
-        assert counts[0] == 1 and counts[1] == 2 and counts[9] == 1
-
-    def test_under_overflow(self):
-        h = Histogram(0, 10, 5)
-        h.add(-1)
-        h.add(10)     # hi is exclusive
-        h.add(100)
-        assert h.underflow == 1 and h.overflow == 2
-
-    def test_total_includes_overflow(self):
-        h = Histogram(0, 1, 2)
-        h.add(0.5)
-        h.add(5)
-        assert h.total == 2
-
-    def test_weights(self):
-        h = Histogram(0, 10, 10)
-        h.add(5, weight=7)
-        assert h.counts[5] == 7
-
-    def test_edges(self):
-        h = Histogram(0, 10, 5)
-        assert list(h.bin_edges()) == [0, 2, 4, 6, 8, 10]
-
-    def test_normalized(self):
-        h = Histogram(0, 10, 2)
-        h.add(1)
-        h.add(6)
-        assert h.normalized().sum() == pytest.approx(1.0)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            Histogram(1, 0, 5)
-        with pytest.raises(ValueError):
-            Histogram(0, 1, 0)
-
-
 class TestTimeWeighted:
     def test_constant_signal(self):
         tw = TimeWeighted()
@@ -245,12 +193,3 @@ class TestPercentileAndCdf:
 
     def test_percentile_empty(self):
         assert percentile([], 50) == 0.0
-
-    def test_cdf_points(self):
-        xs, ps = cdf_points([3, 1, 2])
-        assert list(xs) == [1, 2, 3]
-        assert ps[-1] == pytest.approx(1.0)
-
-    def test_cdf_empty(self):
-        xs, ps = cdf_points([])
-        assert len(xs) == 0 and len(ps) == 0

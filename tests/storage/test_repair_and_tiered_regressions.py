@@ -1,23 +1,17 @@
 """Regression tests from the bug-audit sweep of the storage layer.
 
-1. DFS repair target death: a repair target that dies mid-copy must not
-   be committed into ``block.locations`` — its fail event already fired,
-   so no watcher would ever re-protect the block (permanent silent
-   degradation).  The fixed path retries with a fresh target and counts
-   the failure.
-2. TieredStore: promoting an object larger than the top tier used to
-   demote the whole tier empty and crash on the empty LRU; now oversized
-   objects simply stay put.  Absent keys count as misses.
+DFS repair target death: a repair target that dies mid-copy must not be
+committed into ``block.locations`` — its fail event already fired, so no
+watcher would ever re-protect the block (permanent silent degradation).
+The fixed path retries with a fresh target and counts the failure.
 """
 
 import numpy as np
-import pytest
 
 from repro.cluster import make_cluster
 from repro.common.units import MB
 from repro.simcore import Simulator
 from repro.storage import DFSConfig, DistributedFS
-from repro.storage.tiered import Tier, TieredStore
 
 
 def setup_fs(**cfg):
@@ -84,43 +78,3 @@ class TestRepairTargetDeath:
         assert fs.repairs_started >= 1
         assert fs.repairs_started == \
             int(fs.metrics.value("dfs.repairs_started"))
-
-
-class TestTieredRegressions:
-    def tiers(self):
-        return [Tier("mem", MB(8), 1e-6, 10e9),
-                Tier("ssd", MB(64), 1e-4, 2e9),
-                Tier("hdd", MB(512), 8e-3, 0.2e9)]
-
-    def test_oversized_object_access_does_not_crash(self):
-        store = TieredStore(self.tiers())
-        store.put("big", MB(16))       # larger than mem: lands on ssd
-        assert store.tier_of("big") == "ssd"
-        store.put("small", MB(1))
-        # the crash: promoting "big" would demote mem empty then IndexError
-        store.access("big")
-        assert store.tier_of("big") == "ssd"   # stayed put
-        assert store.tier_of("small") == "mem"  # untouched
-        assert store.stats.promotions == 0
-
-    def test_normal_promotion_still_works(self):
-        store = TieredStore(self.tiers())
-        store.put("a", MB(2))
-        # push "a" down by filling mem
-        for i in range(4):
-            store.put(f"fill{i}", MB(2))
-        if store.tier_of("a") == "mem":
-            pytest.skip("LRU kept it resident")   # pragma: no cover
-        store.access("a")
-        assert store.tier_of("a") == "mem"
-        assert store.stats.promotions == 1
-
-    def test_missing_key_counts_miss(self):
-        store = TieredStore(self.tiers())
-        store.put("x", MB(1))
-        with pytest.raises(KeyError):
-            store.access("ghost")
-        assert store.stats.misses == 1
-        store.access("x")
-        assert store.stats.misses == 1
-        assert store.stats.accesses == 1

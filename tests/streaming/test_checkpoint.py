@@ -170,5 +170,3 @@ class TestValidation:
     def test_bad_config(self):
         with pytest.raises(StreamingError):
             CheckpointConfig(interval=0)
-        with pytest.raises(StreamingError):
-            CheckpointConfig(replay_speedup=0)
